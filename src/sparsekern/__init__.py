@@ -6,13 +6,12 @@ the dual domain, then extracts low-complexity discrete kernel models.
 """
 
 from .baselines import KompConfig, komp_fit, ridge_fit
-from .datasets import SampleSet, gen_mixed_gauss, gen_remark1, gen_sin_squared, kmeans
+from .datasets import SampleSet, gen_mixed_gauss, gen_remark1, gen_sin_squared
 from .dual_field import AlphaField, MonteCarlo, ProblemVariant, Quadrature, bump_field
 from .extraction import PeakConfig, extract_model, find_peaks, refit_amplitudes
 from .kernels import KernelSpec
 from .losses import Loss, default_loss
 from .models import DiscreteModel, predict_discrete
-from .multiclass import OvoEnsemble, ovo_predict, ovo_train
 from .solver import DualState, Problem, SolverConfig, dual_objective, fit, supergradient
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "KompConfig",
     "Loss",
     "MonteCarlo",
-    "OvoEnsemble",
     "PeakConfig",
     "Problem",
     "ProblemVariant",
@@ -39,10 +37,7 @@ __all__ = [
     "gen_mixed_gauss",
     "gen_remark1",
     "gen_sin_squared",
-    "kmeans",
     "komp_fit",
-    "ovo_predict",
-    "ovo_train",
     "predict_discrete",
     "refit_amplitudes",
     "ridge_fit",

@@ -12,13 +12,13 @@ import sys
 
 import numpy as np
 
-from . import datasets, extraction, losses, multiclass, solver
-from .dual_field import AlphaField, ProblemVariant, Quadrature
+from . import datasets, extraction, losses, solver
+from .dual_field import ProblemVariant, Quadrature
 from .errors import ConfigError, DivergenceError, DomainError
 from .experiments import EXPERIMENT_IDS, run_experiment
 from .kernels import KernelSpec
 from .losses import Loss
-from .models import DiscreteModel
+from .models import DiscreteModel, load_json
 from .solver import SolverConfig
 
 LOSS_NAMES = {"quad": "quadratic_eps", "abs": "absolute_eps", "hinge": "hinge_eps"}
@@ -27,22 +27,23 @@ LOSS_NAMES = {"quad": "quadratic_eps", "abs": "absolute_eps", "hinge": "hinge_ep
 def _parse_variant(text: str) -> ProblemVariant:
     if text == "full":
         return ProblemVariant.full()
-    if text.startswith("fixed-width="):
-        return ProblemVariant.fixed_width(float(text.split("=", 1)[1]))
-    if text.startswith("fixed-centers="):
-        path = text.split("=", 1)[1]
-        centers = np.loadtxt(path, delimiter=",", ndmin=2)
-        return ProblemVariant.fixed_centers(centers)
+    kind, _, value = text.partition("=")
+    try:
+        if kind == "fixed-width":
+            return ProblemVariant.fixed_width(float(value))
+        if kind == "fixed-centers":
+            return ProblemVariant.fixed_centers(np.loadtxt(value, delimiter=",", ndmin=2))
+    except ValueError as exc:
+        raise ConfigError(f"bad --variant {text!r}: {exc}") from None
     raise ConfigError(
         f"bad --variant {text!r}; use full, fixed-width=W, or fixed-centers=FILE"
     )
 
 
 def _load_config(path, args, data) -> tuple[SolverConfig, KernelSpec, Loss]:
-    doc = {}
-    if path is not None:
-        with open(path) as fh:
-            doc = json.load(fh)
+    doc = load_json(path) if path is not None else {}
+    if not isinstance(doc, dict) or not isinstance(doc.get("solver", {}), dict):
+        raise ConfigError(f"{path}: expected a JSON object with solver/kernel/loss sections")
     solver_doc = dict(doc.get("solver", {}))
     overrides = {
         "gamma": args.gamma,
@@ -62,13 +63,16 @@ def _load_config(path, args, data) -> tuple[SolverConfig, KernelSpec, Loss]:
             raise ConfigError(f"missing solver setting {key!r} (flag or config file)")
     config = SolverConfig.from_dict(solver_doc)
 
-    if "kernel" in doc:
-        kernel = KernelSpec.from_dict(doc["kernel"])
-    else:
-        kernel = KernelSpec(w_lo=0.1, w_hi=1.0, box=data.box)
+    try:
+        if "kernel" in doc:
+            kernel = KernelSpec.from_dict(doc["kernel"])
+        else:
+            kernel = KernelSpec(w_lo=0.1, w_hi=1.0, box=data.box)
+        loss = Loss.from_dict(doc["loss"]) if "loss" in doc else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad kernel or loss section ({exc!r})") from None
 
-    if "loss" in doc:
-        loss = Loss.from_dict(doc["loss"])
+    if loss is not None:
         if args.loss is not None and LOSS_NAMES[args.loss] != loss.kind:
             loss = losses.default_loss(LOSS_NAMES[args.loss], data.y, args.epsilon)
         elif args.epsilon is not None:
@@ -101,20 +105,14 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     data = datasets.load_csv(args.data)
-    with open(args.model) as fh:
-        doc = json.load(fh)
-    if args.metric == "mse":
-        if "terms" not in doc:
-            raise ConfigError("mse metric expects a discrete model file")
-        model = DiscreteModel.from_dict(doc, dim=data.dim)
-        resid = data.y - model.predict_batch(data.X)
-        print(repr(float(np.mean(resid**2))))
-        return 0
-    if "pairwise" not in doc:
-        raise ConfigError("accuracy metric expects a one-vs-one ensemble file")
-    ensemble = multiclass.OvoEnsemble.from_dict(doc)
-    pred = multiclass.ovo_predict_batch(ensemble, data.X)
-    print(repr(float(np.mean(pred == data.y))))
+    doc = load_json(args.model)
+    if "terms" not in doc:
+        raise ConfigError(f"{args.model}: not a discrete model file")
+    model = DiscreteModel.from_dict(doc, dim=data.dim)
+    if model.dim != data.dim:
+        raise ConfigError(f"{args.model}: model is {model.dim}-D, data is {data.dim}-D")
+    resid = data.y - model.predict_batch(data.X)
+    print(repr(float(np.mean(resid**2))))
     return 0
 
 
@@ -145,10 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--integrator", choices=["quadrature", "mc"])
     p_fit.set_defaults(func=cmd_fit)
 
-    p_eval = sub.add_parser("eval", help="evaluate a saved model on a CSV dataset")
-    p_eval.add_argument("model", help="model JSON (discrete model or ovo ensemble)")
+    p_eval = sub.add_parser("eval", help="print a saved model's MSE on a CSV dataset")
+    p_eval.add_argument("model", help="discrete model JSON written by fit --out")
     p_eval.add_argument("data", help="data CSV")
-    p_eval.add_argument("--metric", choices=["mse", "accuracy"], default="mse")
     p_eval.set_defaults(func=cmd_eval)
 
     p_exp = sub.add_parser("experiment", help="run a reproduction experiment")
@@ -165,7 +162,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

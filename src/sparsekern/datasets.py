@@ -1,4 +1,4 @@
-"""Synthetic signal generators, CSV ingestion, splits, and k-means.
+"""Synthetic signal generators and CSV reading and writing.
 
 Every generator is a pure function of its parameters and seed.
 """
@@ -134,44 +134,6 @@ def gen_remark1(n: int, seed: int, exclusion: float = 0.05) -> SampleSet:
     return SampleSet(x.reshape(-1, 1), y, np.array([[0.0, 5.0]]))
 
 
-def kmeans(points, k: int, seed: int, max_iter: int = 100) -> np.ndarray:
-    """Lloyd's algorithm; empty clusters are reseeded to the farthest point."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = points.shape[0]
-    if not 1 <= k <= m:
-        raise ConfigError(f"k must be in [1, {m}], got {k}")
-    rng = np.random.default_rng(seed)
-    centers = points[rng.choice(m, size=k, replace=False)].copy()
-    labels = np.zeros(m, dtype=int)
-    for _ in range(max_iter):
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(d2, axis=1)
-        moved = False
-        for j in range(k):
-            mask = new_labels == j
-            if not np.any(mask):
-                far = int(np.argmax(np.min(d2, axis=1)))
-                centers[j] = points[far]
-                new_labels[far] = j
-                moved = True
-                continue
-            c = points[mask].mean(axis=0)
-            if not np.allclose(c, centers[j]):
-                moved = True
-            centers[j] = c
-        if not moved and np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return centers
-
-
-def kmeans_objective(points, centers) -> float:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    return float(np.sum(np.min(d2, axis=1)))
-
-
 def save_csv(samples: SampleSet, path, label_column: str = "y") -> None:
     """Write samples as ``x1,...,xp,y`` (or a custom label column name)."""
     with open(path, "w", newline="") as fh:
@@ -216,50 +178,3 @@ def load_csv(path, box=None) -> SampleSet:
         pad = np.maximum(0.05 * (hi - lo), 1e-6)
         box = np.stack([lo - pad, hi + pad], axis=1)
     return SampleSet(X, y, np.asarray(box, dtype=float))
-
-
-def split_fraction(samples: SampleSet, train_fraction: float, seed: int, stratified: bool = False):
-    """Shuffle-split into (train, test) with the given train fraction."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError("train_fraction must be in (0, 1)")
-    folds = _fold_indices(samples, 2, seed, stratified, fractions=(train_fraction,))
-    return samples.subset(folds[0]), samples.subset(folds[1])
-
-
-def split_kfold(samples: SampleSet, k: int, seed: int, stratified: bool = False):
-    """k disjoint (train, test) partitions; stratified keeps label balance."""
-    if k < 2:
-        raise ConfigError("fold count must be >= 2")
-    if k > samples.n:
-        raise ConfigError("more folds than samples")
-    folds = _fold_indices(samples, k, seed, stratified)
-    out = []
-    for i in range(k):
-        test = folds[i]
-        train = np.concatenate([folds[j] for j in range(k) if j != i])
-        out.append((samples.subset(np.sort(train)), samples.subset(np.sort(test))))
-    return out
-
-
-def _fold_indices(samples, k, seed, stratified, fractions=None):
-    rng = np.random.default_rng(seed)
-    n = samples.n
-    if stratified:
-        groups = [np.flatnonzero(samples.y == lab) for lab in np.unique(samples.y)]
-    else:
-        groups = [np.arange(n)]
-    if fractions is not None:
-        # two bins with the requested proportion, per group
-        bins = [[] for _ in range(2)]
-        for g in groups:
-            g = g[rng.permutation(len(g))]
-            cut = int(round(fractions[0] * len(g)))
-            bins[0].extend(g[:cut].tolist())
-            bins[1].extend(g[cut:].tolist())
-        return [np.asarray(sorted(b), dtype=int) for b in bins]
-    bins = [[] for _ in range(k)]
-    for g in groups:
-        g = g[rng.permutation(len(g))]
-        for pos, idx in enumerate(g):
-            bins[pos % k].append(int(idx))
-    return [np.asarray(sorted(b), dtype=int) for b in bins]

@@ -14,7 +14,6 @@ over widths only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import kernels
 from .datasets import SampleSet
 from .errors import ConfigError, DomainError
 from .kernels import KernelSpec
-from .models import DiscreteModel
+from .models import DiscreteModel, load_json, save_json
 
 VARIANT_KINDS = ("full", "fixed_width", "fixed_centers")
 
@@ -256,10 +255,7 @@ class AlphaField:
 
     def predict(self, x, integrator) -> float:
         """Integral of alpha * k(x, .) over the variant's domain."""
-        Z, W, wts = make_nodes(self.kernel, self.variant, integrator)
-        vals = self.coeff_at_nodes(Z, W)
-        kx = kernels.cross(self.kernel, np.asarray(x, dtype=float).reshape(1, -1), Z, W)[0]
-        return float(np.dot(wts, vals * kx))
+        return float(self.predict_batch(np.asarray(x, dtype=float).reshape(1, -1), integrator)[0])
 
     def predict_batch(self, X, integrator) -> np.ndarray:
         Z, W, wts = make_nodes(self.kernel, self.variant, integrator)
@@ -287,14 +283,11 @@ class AlphaField:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+        save_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path) -> "AlphaField":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json(path))
 
 
 @dataclass(frozen=True, eq=False)

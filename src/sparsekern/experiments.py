@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baselines, datasets, extraction, solver
+from . import baselines, datasets, extraction, losses, solver
 from .dual_field import ProblemVariant, Quadrature
 from .errors import ConfigError
 from .kernels import KernelSpec
@@ -66,6 +66,13 @@ def _map(fn, args_list):
 def _mse(model, samples) -> float:
     r = samples.y - model.predict_batch(samples.X)
     return float(np.mean(r**2))
+
+
+def _fit_loss(train) -> Loss:
+    """quadratic_eps at slack 1e-3, clamped at 10x the label range (at least 10)."""
+    return Loss(
+        kind="quadratic_eps", epsilon=1e-3, clamp_radius=10.0 * max(1.0, float(np.ptp(train.y)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +119,7 @@ def run_remark1(scale: str = "desk", seed: int = 0) -> ExperimentResult:
     g_final = solver.dual_objective(state, problem, quad)
     primal = solver.primal_objective(field, quad)
     yhat = field.predict_batch(train.X, quad)
-    from . import losses as _losses
-
-    max_violation = float(np.max(_losses.value(REMARK1_LOSS, yhat, train.y)))
+    max_violation = float(np.max(losses.value(REMARK1_LOSS, yhat, train.y)))
 
     # ridge baseline needs several sample-centered kernels for the same error
     best = None
@@ -166,11 +171,19 @@ GRID_RIDGE_REG = 1e-6
 PII2_MERGE_RADIUS = 0.1
 
 
-def pii2_fit_extract(train, kernel, config, loss=None):
+def _mixed_gauss_draw(rep_seed: int, n_train: int, n_test: int):
+    """Ten-bump training set, and test points redrawn on the same signal."""
+    train, truth = datasets.gen_mixed_gauss(10, 0.453, n_train, MIXED_NOISE_SD, rep_seed)
+    rng = np.random.default_rng(rep_seed + 500_000)
+    Xt = rng.uniform(0.0, 3.0, size=(n_test, 1))
+    yt = truth.predict_batch(Xt) + rng.normal(0.0, MIXED_NOISE_SD, size=n_test)
+    return train, datasets.SampleSet(Xt, yt, train.box)
+
+
+def pii2_fit_extract(train, kernel, config):
     """Fixed-centers sparse fit at the training samples plus extraction."""
-    loss = loss or Loss(kind="quadratic_eps", epsilon=1e-3, clamp_radius=10.0 * max(1.0, float(np.ptp(train.y))))
     variant = ProblemVariant.fixed_centers(train.X)
-    state, field = solver.fit(train, kernel, loss, variant, config)
+    state, field = solver.fit(train, kernel, _fit_loss(train), variant, config)
     model = extraction.extract_model(
         field,
         train,
@@ -186,12 +199,7 @@ def _grid_vs_pii2_rep(args):
     rep_seed = seed + rep
     n_train, n_test = (100, 500) if scale == "desk" else (100, 1000)
     config = PII2_CONFIG if scale == "desk" else PII2_CONFIG_PAPER
-    train, truth = datasets.gen_mixed_gauss(10, 0.453, n_train, MIXED_NOISE_SD, rep_seed)
-    # test points redrawn on the same signal
-    rng = np.random.default_rng(rep_seed + 500_000)
-    Xt = rng.uniform(0.0, 3.0, size=(n_test, 1))
-    yt = truth.predict_batch(Xt) + rng.normal(0.0, MIXED_NOISE_SD, size=n_test)
-    test = datasets.SampleSet(Xt, yt, train.box)
+    train, test = _mixed_gauss_draw(rep_seed, n_train, n_test)
 
     _, _, model = pii2_fit_extract(train, MIXED_KERNEL, config)
     row = {
@@ -241,13 +249,9 @@ def _pii_full_rep(args):
     scale, seed, rep = args
     rep_seed = seed + rep
     config = PII_FULL_CONFIG if scale == "desk" else PII_FULL_CONFIG_PAPER
-    train, truth = datasets.gen_mixed_gauss(10, 0.453, 100, MIXED_NOISE_SD, rep_seed)
-    rng = np.random.default_rng(rep_seed + 500_000)
-    Xt = rng.uniform(0.0, 3.0, size=(500, 1))
-    yt = truth.predict_batch(Xt) + rng.normal(0.0, MIXED_NOISE_SD, size=500)
-    test = datasets.SampleSet(Xt, yt, train.box)
+    train, test = _mixed_gauss_draw(rep_seed, 100, 500)
 
-    loss = Loss(kind="quadratic_eps", epsilon=1e-3, clamp_radius=10.0 * max(1.0, float(np.ptp(train.y))))
+    loss = _fit_loss(train)
     state, field = solver.fit(train, MIXED_KERNEL, loss, ProblemVariant.full(), config)
     model = extraction.extract_model(
         field, train, extraction.PeakConfig(grid_centers=96, grid_widths=32, merge_radius=0.1)
@@ -315,7 +319,7 @@ def _komp_sparsity_rep(args):
     w0 = 0.5
     train, _ = datasets.gen_mixed_gauss(5, w0, 20, MIXED_NOISE_SD, rep_seed)
 
-    loss = Loss(kind="quadratic_eps", epsilon=1e-3, clamp_radius=10.0 * max(1.0, float(np.ptp(train.y))))
+    loss = _fit_loss(train)
     variant = ProblemVariant.fixed_width(w0)
     if scale == "desk":
         ramp, _ = solver.fit(train, KOMP_KERNEL, loss, variant, KOMP_SPARSITY_RAMP)
@@ -384,7 +388,7 @@ def _sample_stability_rep(args):
     train = datasets.gen_sin_squared(n, SIN_NOISE_SD, seed, grid=True)
     test = datasets.gen_sin_squared(1000, SIN_NOISE_SD, seed + 10_000, grid=False)
 
-    loss = Loss(kind="quadratic_eps", epsilon=1e-3, clamp_radius=10.0 * max(1.0, float(np.ptp(train.y))))
+    loss = _fit_loss(train)
     state, field = solver.fit(train, SIN_KERNEL, loss, ProblemVariant.full(), config)
     model = extraction.extract_model(
         field, train, extraction.PeakConfig(grid_centers=192, grid_widths=24)

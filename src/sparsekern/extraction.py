@@ -19,22 +19,21 @@ from .datasets import SampleSet
 from .dual_field import AlphaField, Quadrature, quadrature_nodes
 from .errors import ConfigError
 from .kernels import KernelSpec
-from .models import DiscreteModel, predict_discrete  # noqa: F401  (shared model type)
+from .models import DiscreteModel
+
+# gradient-ascent steps that refine each scanned peak candidate
+_REFINE_STEPS = 50
 
 
 @dataclass(frozen=True)
 class PeakConfig:
     grid_centers: int = 64
     grid_widths: int = 32
-    refine_steps: int = 50
     merge_radius: float | None = None  # None: 0.5 * width of the stronger peak
-    threshold: float | None = None  # None: the field's sqrt(2 gamma)
 
     def __post_init__(self):
         if self.grid_centers < 2 or self.grid_widths < 2:
             raise ConfigError("peak grids need at least 2 nodes per axis")
-        if self.refine_steps < 0:
-            raise ConfigError("refine_steps must be nonnegative")
         if self.merge_radius is not None and not self.merge_radius > 0:
             raise ConfigError("merge_radius must be positive")
 
@@ -108,7 +107,7 @@ def find_peaks(field: AlphaField, cfg: PeakConfig | None = None):
     the ascent moves centers only; for fixed centers, widths only.
     """
     cfg = cfg or PeakConfig()
-    threshold = field.threshold if cfg.threshold is None else cfg.threshold
+    threshold = field.threshold
     Z, W, _ = _scan_grid(field, cfg)
     vals = np.abs(field.smooth_at_nodes(Z, W))
 
@@ -133,7 +132,7 @@ def find_peaks(field: AlphaField, cfg: PeakConfig | None = None):
     step0 = np.full(
         cand.size, 0.5 * max(span / cfg.grid_centers, (field.kernel.w_hi - field.kernel.w_lo) / cfg.grid_widths)
     )
-    Zr, Wr, mag = _refine(field, Z[cand], W[cand], cfg.refine_steps, step0)
+    Zr, Wr, mag = _refine(field, Z[cand], W[cand], _REFINE_STEPS, step0)
 
     order = np.argsort(-mag)
     peaks = []
@@ -231,7 +230,6 @@ def polish_model(
     kernel: KernelSpec,
     steps: int = 100,
     refine_widths: bool = False,
-    ridge: float = 1e-10,
 ) -> DiscreteModel:
     """Local descent on training SSE over the term parameters.
 
@@ -251,7 +249,8 @@ def polish_model(
 
     def refit(Zc, Wc):
         Phi = kernels.cross(kernel, X, Zc, Wc)
-        amps = np.linalg.solve(Phi.T @ Phi + ridge * np.eye(J), Phi.T @ y)
+        # a 1e-10 ridge keeps coincident terms solvable
+        amps = np.linalg.solve(Phi.T @ Phi + 1e-10 * np.eye(J), Phi.T @ y)
         r = y - Phi @ amps
         return Phi, amps, r, float(r @ r)
 
@@ -264,8 +263,7 @@ def polish_model(
         gz /= (W**2)[:, None]
         gw = None
         if refine_widths:
-            d2 = np.sum(X[:, None, :] ** 2, axis=2) + np.sum(Z**2, axis=1)[None, :] - 2.0 * X @ Z.T
-            gw = -2.0 * (M * d2).sum(axis=0) / W**3
+            gw = -2.0 * (M * kernels.sqdist(X, Z)).sum(axis=0) / W**3
         norm = np.sqrt(np.sum(gz**2) + (np.sum(gw**2) if gw is not None else 0.0))
         if norm == 0.0 or not np.isfinite(norm):
             break
@@ -286,23 +284,10 @@ def polish_model(
 
 
 def extract_model(
-    field: AlphaField,
-    samples: SampleSet,
-    cfg: PeakConfig | None = None,
-    ridge: float = 1e-10,
-    polish_steps: int = 0,
+    field: AlphaField, samples: SampleSet, cfg: PeakConfig | None = None
 ) -> DiscreteModel:
     """find_peaks + refit_amplitudes; empty model when nothing crosses."""
     peaks = find_peaks(field, cfg)
     if not peaks:
         return DiscreteModel.empty(field.kernel.dim)
-    model = refit_amplitudes(peaks, samples, field.kernel, ridge)
-    if polish_steps:
-        model = polish_model(
-            model,
-            samples,
-            field.kernel,
-            steps=polish_steps,
-            refine_widths=field.variant.kind != "fixed_width",
-        )
-    return model
+    return refit_amplitudes(peaks, samples, field.kernel)

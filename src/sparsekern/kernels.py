@@ -121,6 +121,20 @@ def grad(spec: KernelSpec, x, z, w: float):
     return dk_dz, float(dk_dw)
 
 
+def sqdist(X, Z) -> np.ndarray:
+    """Squared distances D[i, g] = ||x_i - z_g||^2 between rows of 2-D X and Z.
+
+    Sums exact per-axis differences, which stay accurate far from the
+    origin where the expanded ||x||^2 + ||z||^2 - 2 x.z cancels.
+    """
+    if X.shape[1] != Z.shape[1]:
+        raise DomainError(f"points of dimension {X.shape[1]} and {Z.shape[1]} do not mix")
+    d2 = (X[:, 0, None] - Z[None, :, 0]) ** 2
+    for k in range(1, X.shape[1]):
+        d2 += (X[:, k, None] - Z[None, :, k]) ** 2
+    return d2
+
+
 def cross(spec: KernelSpec, X, Z, W, with_sqdist: bool = False):
     """Kernel matrix K[i, g] = k(x_i, Z_g; W_g) between samples and nodes.
 
@@ -132,13 +146,7 @@ def cross(spec: KernelSpec, X, Z, W, with_sqdist: bool = False):
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     W = np.asarray(W, dtype=float)
     _check_width(spec, W)
-    # ||x - z||^2 expanded to keep one N x G allocation
-    d2 = (
-        np.sum(X**2, axis=1)[:, None]
-        + np.sum(Z**2, axis=1)[None, :]
-        - 2.0 * (X @ Z.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
+    d2 = sqdist(X, Z)
     K = np.exp(-d2 / (2.0 * W**2))
     if with_sqdist:
         return K, d2

@@ -16,7 +16,7 @@ clamp radius, which keeps the dual objective finite during early ascent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,11 +42,7 @@ class Loss:
             raise DomainError("clamp_radius must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "epsilon": self.epsilon,
-            "clamp_radius": self.clamp_radius,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Loss":

@@ -12,7 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import DomainError
+
+
+def save_json(doc: dict, path) -> None:
+    """Write a ``to_dict`` document as one line of key-sorted JSON."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def load_json(path) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,37 +61,30 @@ class DiscreteModel:
         return self.centers.shape[1]
 
     def predict(self, x) -> float:
-        x = np.asarray(x, dtype=float).ravel()
-        if self.n_terms == 0:
-            return 0.0
-        d2 = np.sum((self.centers - x[None, :]) ** 2, axis=1)
-        return float(np.dot(self.amplitudes, np.exp(-d2 / (2.0 * self.widths**2))))
+        return float(self.predict_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def predict_batch(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.n_terms == 0:
             return np.zeros(X.shape[0])
-        d2 = (
-            np.sum(X**2, axis=1)[:, None]
-            + np.sum(self.centers**2, axis=1)[None, :]
-            - 2.0 * X @ self.centers.T
-        )
-        np.maximum(d2, 0.0, out=d2)
+        d2 = kernels.sqdist(X, self.centers)
         return np.exp(-d2 / (2.0 * self.widths[None, :] ** 2)) @ self.amplitudes
 
     def to_dict(self) -> dict:
         return {
+            "dim": self.dim,
             "terms": [
                 {"a": float(a), "z": z.tolist(), "w": float(w)}
                 for a, z, w in zip(self.amplitudes, self.centers, self.widths)
-            ]
+            ],
         }
 
     @classmethod
     def from_dict(cls, d: dict, dim: int | None = None) -> "DiscreteModel":
+        """Model from ``to_dict`` output; ``dim`` sizes a dimensionless empty model."""
         terms = d["terms"]
         if not terms:
-            return cls.empty(dim if dim is not None else 1)
+            return cls.empty(d.get("dim", dim if dim is not None else 1))
         return cls(
             np.asarray([t["a"] for t in terms], dtype=float),
             np.asarray([t["z"] for t in terms], dtype=float),
@@ -86,14 +92,11 @@ class DiscreteModel:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        save_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path) -> "DiscreteModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json(path))
 
 
 def predict_discrete(model: DiscreteModel, x) -> float:

@@ -16,7 +16,7 @@ corrected Monte Carlo batches (the stochastic path).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,24 +72,23 @@ class SolverConfig:
             raise ConfigError("trace_every must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "eta_lambda": self.eta_lambda,
-            "eta_mu": self.eta_mu,
-            "iters": self.iters,
-            "batch": self.batch,
-            "seed": self.seed,
-            "mu_floor": self.mu_floor,
-            "integrator": self.integrator,
-            "center_nodes": self.center_nodes,
-            "width_nodes": self.width_nodes,
-            "trace_every": self.trace_every,
-            "step_decay": self.step_decay,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
+        kw = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
+        for key, val in kw.items():
+            kind = cls.__dataclass_fields__[key].type
+            if kind == "str":
+                ok = isinstance(val, str)
+            else:
+                ok = isinstance(val, (int, float)) and not isinstance(val, bool)
+                ok = ok and (kind == "float" or float(val).is_integer())
+            if not ok:
+                raise ConfigError(f"solver setting {key!r} must be of type {kind}, got {val!r}")
+            if kind == "int":
+                kw[key] = int(val)
+        return cls(**kw)
 
 
 @dataclass
@@ -99,8 +98,6 @@ class DualState:
     t: int = 0
     g_trace: list = field(default_factory=list)
     best_g: float = -np.inf
-    best_t: int = -1
-    best_lam: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,23 +118,20 @@ def _integral_terms(problem, lam, Z, W, wts, K=None):
     """Integral part of g, the projections of alpha, and their lambda term.
 
     Returns (g_int, proj) with proj_i = integral of alpha * k(x_i, .).
-    Streams the node set in chunks when the kernel matrix was not
-    precomputed.
+    A precomputed kernel matrix is the single chunk; otherwise the node set
+    is streamed in chunks.
     """
     X = problem.samples.X
     thr2 = 2.0 * problem.gamma
-    if K is not None:
-        smooth = K.T @ lam
-        sparse = np.where(smooth * smooth > thr2, smooth, 0.0)
-        g_int = float(wts @ np.minimum(0.0, problem.gamma - 0.5 * smooth**2))
-        proj = K @ (wts * sparse)
-        return g_int, proj
     n = X.shape[0]
-    chunk = max(1, int(_PRECOMPUTE_LIMIT // max(n, 1)))
+    chunk = Z.shape[0] if K is not None else max(1, int(_PRECOMPUTE_LIMIT // max(n, 1)))
     g_int = 0.0
     proj = np.zeros(n)
     for s in range(0, Z.shape[0], chunk):
-        Kc = kernels.cross(problem.kernel, X, Z[s : s + chunk], W[s : s + chunk])
+        if K is None:
+            Kc = kernels.cross(problem.kernel, X, Z[s : s + chunk], W[s : s + chunk])
+        else:
+            Kc = K
         smooth = Kc.T @ lam
         sparse = np.where(smooth * smooth > thr2, smooth, 0.0)
         wc = wts[s : s + chunk]
@@ -194,10 +188,10 @@ def fit(
 ):
     """Projected supergradient ascent; returns (DualState, AlphaField).
 
-    The returned field is built from the final iterate; the best-objective
-    iterate is kept on the state for inspection.  A fixed seed yields a
-    bit-identical trace.  ``init_lam``/``init_mu`` warm-start the ascent
-    (defaults: zeros and ones).
+    The returned field is built from the final iterate; the best objective
+    value seen along the run is kept on the state as ``best_g``.  A fixed
+    seed yields a bit-identical trace.  ``init_lam``/``init_mu`` warm-start
+    the ascent (defaults: zeros and ones).
     """
     problem = Problem(samples, kernel, loss, variant, config.gamma)
     n = samples.n
@@ -228,43 +222,32 @@ def fit(
         writer.writerow(["t", "g_estimate", "d_lambda_norm", "max_violation"])
 
     try:
-        for t in range(config.iters):
-            if fixed_nodes is not None:
-                Z, W, wts = fixed_nodes
-            else:
-                Z, W, wts = monte_carlo_nodes(kernel, variant, config.batch, rng)
-            g, d_lam, d_mu, proj = _dual_terms(problem, state.lam, state.mu, Z, W, wts, K)
-            if not (np.all(np.isfinite(d_lam)) and np.all(np.isfinite(d_mu)) and np.isfinite(g)):
-                raise DivergenceError(
-                    t, float(np.linalg.norm(state.lam)), float(np.linalg.norm(state.mu))
-                )
-            if t % config.trace_every == 0:
-                state.g_trace.append((t, g))
-                if writer is not None:
-                    viol = float(np.max(losses.value(loss, proj, samples.y)))
-                    writer.writerow([t, g, float(np.linalg.norm(d_lam)), viol])
-            if g > state.best_g:
-                state.best_g = g
-                state.best_t = t
-                state.best_lam = state.lam.copy()
-            decay = 1.0 / np.sqrt(t + 1.0) if config.step_decay == "sqrt" else 1.0
-            state.lam = state.lam + config.eta_lambda * decay * d_lam
-            state.mu = np.maximum(state.mu + config.eta_mu * decay * d_mu, config.mu_floor)
+        # overflow and NaN surface as a DivergenceError, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the last pass only evaluates the final iterate
+            for t in range(config.iters + 1):
+                if fixed_nodes is not None:
+                    Z, W, wts = fixed_nodes
+                else:
+                    Z, W, wts = monte_carlo_nodes(kernel, variant, config.batch, rng)
+                g, d_lam, d_mu, proj = _dual_terms(problem, state.lam, state.mu, Z, W, wts, K)
+                finite = np.all(np.isfinite(d_lam)) and np.all(np.isfinite(d_mu))
+                if not (finite and np.isfinite(g)):
+                    raise DivergenceError(
+                        t, float(np.linalg.norm(state.lam)), float(np.linalg.norm(state.mu))
+                    )
+                if t % config.trace_every == 0 or t == config.iters:
+                    state.g_trace.append((t, g))
+                    if writer is not None:
+                        viol = float(np.max(losses.value(loss, proj, samples.y)))
+                        writer.writerow([t, g, float(np.linalg.norm(d_lam)), viol])
+                state.best_g = max(state.best_g, g)
+                if t == config.iters:
+                    break
+                decay = 1.0 / np.sqrt(t + 1.0) if config.step_decay == "sqrt" else 1.0
+                state.lam = state.lam + config.eta_lambda * decay * d_lam
+                state.mu = np.maximum(state.mu + config.eta_mu * decay * d_mu, config.mu_floor)
         state.t = config.iters
-        # closing estimate at the final iterate
-        if fixed_nodes is not None:
-            Z, W, wts = fixed_nodes
-        else:
-            Z, W, wts = monte_carlo_nodes(kernel, variant, config.batch, rng)
-        g, d_lam, d_mu, proj = _dual_terms(problem, state.lam, state.mu, Z, W, wts, K)
-        state.g_trace.append((state.t, g))
-        if g > state.best_g:
-            state.best_g = g
-            state.best_t = state.t
-            state.best_lam = state.lam.copy()
-        if writer is not None:
-            viol = float(np.max(losses.value(loss, proj, samples.y)))
-            writer.writerow([state.t, g, float(np.linalg.norm(d_lam)), viol])
     finally:
         if trace_fh is not None:
             trace_fh.close()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from sparsekern import KernelSpec, SampleSet, gen_mixed_gauss, gen_remark1, gen_sin_squared, kmeans, ridge_fit
+from sparsekern import KernelSpec, SampleSet, gen_mixed_gauss, gen_remark1, gen_sin_squared, ridge_fit
 from sparsekern import datasets
-from sparsekern.datasets import kmeans_objective, load_csv, save_csv, split_fraction, split_kfold
+from sparsekern.datasets import load_csv, save_csv
 from sparsekern.errors import ConfigError, DomainError
 
 
@@ -73,43 +73,6 @@ def test_remark1_scalar_value():
     assert np.exp(-((x - 2.5) ** 2) / 2.0) == pytest.approx(np.exp(-1.0))
 
 
-def test_kmeans_k_equals_m_returns_points():
-    rng = np.random.default_rng(0)
-    pts = rng.normal(0, 1, (6, 2))
-    centers = kmeans(pts, 6, seed=1)
-    got = {tuple(np.round(c, 12)) for c in centers}
-    want = {tuple(np.round(p, 12)) for p in pts}
-    assert got == want
-
-
-def test_kmeans_k1_is_centroid():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    centers = kmeans(pts, 1, seed=0)
-    assert np.allclose(centers[0], [0.5, 0.5])
-
-
-def test_kmeans_two_blobs():
-    rng = np.random.default_rng(4)
-    a = rng.normal(0.0, 0.05, (30, 2))
-    b = rng.normal(5.0, 0.05, (30, 2))
-    centers = kmeans(np.vstack([a, b]), 2, seed=9)
-    centers = centers[np.argsort(centers[:, 0])]
-    assert np.allclose(centers[0], a.mean(axis=0), atol=1e-6)
-    assert np.allclose(centers[1], b.mean(axis=0), atol=1e-6)
-
-
-def test_kmeans_objective_non_increasing():
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(0, 1, (60, 2))
-    objs = [kmeans_objective(pts, kmeans(pts, 5, seed=3, max_iter=i)) for i in range(1, 12)]
-    assert all(objs[i + 1] <= objs[i] + 1e-12 for i in range(len(objs) - 1))
-
-
-def test_kmeans_bad_k():
-    with pytest.raises(ConfigError):
-        kmeans(np.zeros((3, 1)), 4, seed=0)
-
-
 def test_csv_round_trip(tmp_path):
     data, _ = gen_mixed_gauss(2, 0.5, 12, 0.01, seed=6)
     path = tmp_path / "d.csv"
@@ -131,29 +94,3 @@ def test_csv_wrong_field_count(tmp_path):
     path.write_text("x1,y\n0.5\n")
     with pytest.raises(ConfigError, match="line 2"):
         load_csv(path)
-
-
-def test_kfold_sizes():
-    data, _ = gen_mixed_gauss(2, 0.5, 100, 0.0, seed=7)
-    folds = split_kfold(data, 10, seed=0)
-    assert len(folds) == 10
-    for train, test in folds:
-        assert test.n == 10 and train.n == 90
-    all_test = np.concatenate([t.X[:, 0] for _, t in folds])
-    assert np.unique(all_test).size == 100
-
-
-def test_stratified_two_fold_balance():
-    X = np.arange(10, dtype=float).reshape(-1, 1)
-    y = np.array([0.0] * 6 + [1.0] * 4)
-    data = SampleSet(X, y, np.array([[-1.0, 10.0]]))
-    folds = split_kfold(data, 2, seed=1, stratified=True)
-    for _, test in folds:
-        assert np.sum(test.y == 0.0) == 3
-        assert np.sum(test.y == 1.0) == 2
-
-
-def test_split_fraction_partitions():
-    data, _ = gen_mixed_gauss(2, 0.5, 40, 0.0, seed=8)
-    train, test = split_fraction(data, 0.75, seed=2)
-    assert train.n == 30 and test.n == 10

@@ -186,3 +186,13 @@ def test_peak_config_validation():
         PeakConfig(merge_radius=0.0)
     with pytest.raises(ConfigError):
         refit_amplitudes([], gen_remark1(3, 0), KERNEL)
+
+
+def test_empty_model_keeps_its_dimension_through_save_and_load(tmp_path):
+    path = tmp_path / "empty.json"
+    DiscreteModel.empty(3).save(path)
+    back = DiscreteModel.load(path)
+    assert back.n_terms == 0 and back.dim == 3
+    assert np.array_equal(back.predict_batch(np.zeros((2, 3))), np.zeros(2))
+    # files written without "dim" keep sizing an empty model from the caller
+    assert DiscreteModel.from_dict({"terms": []}, dim=2).dim == 2

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sparsekern import KernelSpec
 from sparsekern import kernels
 from sparsekern.errors import DomainError
+from sparsekern.models import DiscreteModel
 
 SPEC = KernelSpec(w_lo=0.05, w_hi=3.0, box=np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]))
 
@@ -149,3 +150,35 @@ def test_spec_json_round_trip():
     back = KernelSpec.from_dict(d)
     assert back.w_lo == SPEC.w_lo and back.w_hi == SPEC.w_hi
     assert np.array_equal(back.box, SPEC.box)
+
+
+@given(
+    p=st.integers(1, 3),
+    offset=st.floats(-1e6, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_cross_and_model_are_translation_invariant(p, offset, seed):
+    # widths >= 0.3 keep the rounding of x + offset (ulp(1e6) ~ 1.2e-10) below 1e-9
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, (6, p))
+    Z = rng.uniform(0.0, 1.0, (4, p))
+    W = rng.uniform(0.3, 2.0, 4)
+    spec = KernelSpec(w_lo=0.3, w_hi=2.0, box=np.tile([0.0, 1.0], (p, 1)))
+    K = kernels.cross(spec, X, Z, W)
+    assert np.allclose(kernels.cross(spec, X + offset, Z + offset, W), K, rtol=0.0, atol=1e-9)
+    a = rng.normal(0.0, 1.0, 4)
+    model = DiscreteModel(a / np.sum(np.abs(a)), Z, W)
+    shifted = DiscreteModel(model.amplitudes, Z + offset, W)
+    assert np.allclose(
+        shifted.predict_batch(X + offset), model.predict_batch(X), rtol=0.0, atol=1e-9
+    )
+
+
+def test_narrow_kernel_far_from_the_origin():
+    # 0.01 apart at w = 0.01 is exp(-1/2) wherever the pair sits
+    spec = KernelSpec(w_lo=0.01, w_hi=1.0, box=np.array([[0.0, 1.0]]))
+    x, z = np.array([[1e6]]), np.array([[1e6 + 0.01]])
+    assert kernels.cross(spec, x, z, 0.01)[0, 0] == pytest.approx(0.6065306597, rel=1e-6)
+    model = DiscreteModel(np.array([1.0]), z, np.array([0.01]))
+    assert model.predict_batch(x)[0] == pytest.approx(0.6065306597, rel=1e-6)
