@@ -12,7 +12,7 @@ from .extraction import PeakConfig, extract_model, find_peaks, refit_amplitudes
 from .kernels import KernelSpec
 from .losses import Loss, default_loss
 from .models import DiscreteModel, predict_discrete
-from .solver import DualState, Problem, SolverConfig, dual_objective, fit, supergradient
+from .solver import DualState, Problem, SolverConfig, dual_objective, fit
 
 __all__ = [
     "AlphaField",
@@ -41,7 +41,6 @@ __all__ = [
     "predict_discrete",
     "refit_amplitudes",
     "ridge_fit",
-    "supergradient",
 ]
 
 __version__ = "0.1.0"

@@ -249,7 +249,9 @@ class AlphaField:
         M = self.lam[:, None] * K
         vals = M.sum(axis=0)
         W = np.broadcast_to(np.asarray(W, dtype=float), vals.shape)
-        gz = (M.T @ X - vals[:, None] * Z) / (W**2)[:, None]
+        # sum_i lambda_i k_i (x_i - z), from exact per-axis differences as in sqdist
+        gz = [np.sum(M * (X[:, k, None] - Z[None, :, k]), axis=0) for k in range(X.shape[1])]
+        gz = np.stack(gz, axis=1) / (W**2)[:, None]
         gw = (M * d2).sum(axis=0) / W**3
         return vals, gz, gw
 

@@ -10,14 +10,12 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """The dual ascent produced non-finite iterates."""
+    """The dual ascent produced a non-finite iterate or certificate."""
 
-    def __init__(self, iteration: int, lam_norm: float, mu_norm: float):
+    def __init__(self, iteration: int, lam_norm: float):
         self.iteration = iteration
         self.lam_norm = lam_norm
-        self.mu_norm = mu_norm
         super().__init__(
-            f"non-finite supergradient at iteration {iteration} "
-            f"(|lambda|={lam_norm:.6g}, |mu|={mu_norm:.6g}); "
-            "reduce the step sizes or the batch variance"
+            f"non-finite dual value at iteration {iteration} (|lambda|={lam_norm:.6g}); reduce "
+            "eta_lambda or the batch variance, or check that the fit constraints can be met"
         )

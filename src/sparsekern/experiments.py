@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baselines, datasets, extraction, losses, solver
-from .dual_field import ProblemVariant, Quadrature
+from . import baselines, datasets, extraction, solver
+from .dual_field import ProblemVariant
 from .errors import ConfigError
 from .kernels import KernelSpec
 from .losses import Loss
@@ -81,22 +81,14 @@ def _fit_loss(train) -> Loss:
 
 REMARK1_KERNEL = KernelSpec(w_lo=0.5, w_hi=1.5, box=np.array([[0.0, 5.0]]))
 REMARK1_CONFIG = SolverConfig(
-    gamma=0.2,
-    eta_lambda=0.3,
-    eta_mu=3.0,
-    iters=120_000,
-    integrator="quadrature",
-    center_nodes=1024,
-    width_nodes=8,
-    trace_every=10_000,
-    step_decay="sqrt",
+    gamma=0.2, eta_lambda=0.3, iters=120_000, integrator="quadrature", center_nodes=1024,
+    width_nodes=8, trace_every=10_000,
 )
 REMARK1_LOSS = Loss(kind="quadratic_eps", epsilon=1e-3, clamp_radius=10.0)
 
 
 def run_remark1(scale: str = "desk", seed: int = 0) -> ExperimentResult:
-    n_train = 20
-    train = datasets.gen_remark1(n_train, seed)
+    train = datasets.gen_remark1(20, seed)
     test = datasets.gen_remark1(400, seed + 10_000)
     variant = ProblemVariant.fixed_width(1.0)
 
@@ -107,19 +99,9 @@ def run_remark1(scale: str = "desk", seed: int = 0) -> ExperimentResult:
         if peaks
         else extraction.extract_model(field, train)
     )
-    center_error = (
-        float(np.min(np.abs(np.asarray([z[0] for z, _ in peaks]) - 2.5)))
-        if peaks
-        else np.inf
-    )
+    centers = np.asarray([z[0] for z, _ in peaks])
+    center_error = float(np.min(np.abs(centers - 2.5))) if peaks else np.inf
     test_mse = _mse(model, test)
-
-    quad = Quadrature(REMARK1_CONFIG.center_nodes, REMARK1_CONFIG.width_nodes)
-    problem = solver.Problem(train, REMARK1_KERNEL, REMARK1_LOSS, variant, REMARK1_CONFIG.gamma)
-    g_final = solver.dual_objective(state, problem, quad)
-    primal = solver.primal_objective(field, quad)
-    yhat = field.predict_batch(train.X, quad)
-    max_violation = float(np.max(losses.value(REMARK1_LOSS, yhat, train.y)))
 
     # ridge baseline needs several sample-centered kernels for the same error
     best = None
@@ -135,10 +117,12 @@ def run_remark1(scale: str = "desk", seed: int = 0) -> ExperimentResult:
         "kernel_count": model.n_terms,
         "center_error": center_error,
         "test_mse": test_mse,
-        "duality_gap": primal - g_final,
-        "dual_objective": g_final,
-        "primal_objective": primal,
-        "max_violation": max_violation,
+        "duality_gap": state.primal - state.g,
+        "dual_objective": state.g,
+        "primal_objective": state.primal,
+        "max_violation": state.max_c,
+        "iters": state.t,
+        "converged": int(state.converged),
         "ridge_test_mse": ridge_mse,
         "ridge_nonzero": ridge_nonzero,
         "ridge_reg": ridge_reg,
@@ -154,18 +138,10 @@ def run_remark1(scale: str = "desk", seed: int = 0) -> ExperimentResult:
 MIXED_KERNEL = KernelSpec(w_lo=0.1, w_hi=1.0, box=np.array([[0.0, 3.0]]))
 MIXED_NOISE_SD = float(np.sqrt(1e-3))
 PII2_CONFIG = SolverConfig(
-    gamma=5.0,
-    eta_lambda=8e-4,
-    eta_mu=1e-2,
-    iters=12_000,
-    integrator="quadrature",
-    width_nodes=32,
-    trace_every=2000,
-    step_decay="none",
+    gamma=5.0, eta_lambda=8e-4, iters=12_000, integrator="quadrature", width_nodes=32,
+    trace_every=2000, tol=1e-2,
 )
-PII2_CONFIG_PAPER = SolverConfig(
-    gamma=4000.0, eta_lambda=0.001, eta_mu=0.1, iters=5000, width_nodes=48
-)
+PII2_CONFIG_PAPER = SolverConfig(gamma=4000.0, eta_lambda=0.001, iters=5000, width_nodes=48)
 # near-interpolating reg: the classical baseline carries hard fit constraints
 GRID_RIDGE_REG = 1e-6
 PII2_MERGE_RADIUS = 0.1
@@ -180,18 +156,15 @@ def _mixed_gauss_draw(rep_seed: int, n_train: int, n_test: int):
     return train, datasets.SampleSet(Xt, yt, train.box)
 
 
-def pii2_fit_extract(train, kernel, config):
-    """Fixed-centers sparse fit at the training samples plus extraction."""
-    variant = ProblemVariant.fixed_centers(train.X)
+def _fit_extract(train, kernel, variant, config, peaks, polish_steps=0, refine_widths=False):
+    """Certified sparse fit, peak extraction and an optional polish: (state, model)."""
     state, field = solver.fit(train, kernel, _fit_loss(train), variant, config)
-    model = extraction.extract_model(
-        field,
-        train,
-        extraction.PeakConfig(
-            grid_centers=2, grid_widths=config.width_nodes, merge_radius=PII2_MERGE_RADIUS
-        ),
-    )
-    return state, field, model
+    model = extraction.extract_model(field, train, peaks)
+    if polish_steps:
+        model = extraction.polish_model(
+            model, train, kernel, steps=polish_steps, refine_widths=refine_widths
+        )
+    return state, model
 
 
 def _grid_vs_pii2_rep(args):
@@ -201,11 +174,17 @@ def _grid_vs_pii2_rep(args):
     config = PII2_CONFIG if scale == "desk" else PII2_CONFIG_PAPER
     train, test = _mixed_gauss_draw(rep_seed, n_train, n_test)
 
-    _, _, model = pii2_fit_extract(train, MIXED_KERNEL, config)
+    peaks = extraction.PeakConfig(
+        grid_centers=2, grid_widths=config.width_nodes, merge_radius=PII2_MERGE_RADIUS
+    )
+    variant = ProblemVariant.fixed_centers(train.X)
+    state, model = _fit_extract(train, MIXED_KERNEL, variant, config, peaks)
     row = {
         "rep": rep,
         "pii2_mse": _mse(model, test),
         "pii2_kernels": model.n_terms,
+        "iters": state.t,
+        "converged": int(state.converged),
     }
     for w in GRID_WIDTHS:
         rm = baselines.ridge_fit(train, MIXED_KERNEL, w, GRID_RIDGE_REG)
@@ -229,19 +208,12 @@ def run_grid_vs_pii2(scale: str = "desk", seed: int = 0) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 PII_FULL_CONFIG = SolverConfig(
-    gamma=0.2,
-    eta_lambda=5e-3,
-    eta_mu=0.01,
-    iters=12_000,
-    integrator="quadrature",
-    center_nodes=192,
-    width_nodes=32,
-    trace_every=2000,
-    step_decay="none",
+    gamma=0.2, eta_lambda=5e-3, iters=12_000, integrator="quadrature", center_nodes=192,
+    width_nodes=32, trace_every=2000,
+    # eps equals the noise variance: no lambda gets below ~4e-3 violation here
+    tol=1e-2,
 )
-PII_FULL_CONFIG_PAPER = SolverConfig(
-    gamma=1000.0, eta_lambda=0.01, eta_mu=1.0, iters=1000
-)
+PII_FULL_CONFIG_PAPER = SolverConfig(gamma=1000.0, eta_lambda=0.01, iters=1000)
 PII_FULL_POLISH_STEPS = 120
 
 
@@ -251,19 +223,18 @@ def _pii_full_rep(args):
     config = PII_FULL_CONFIG if scale == "desk" else PII_FULL_CONFIG_PAPER
     train, test = _mixed_gauss_draw(rep_seed, 100, 500)
 
-    loss = _fit_loss(train)
-    state, field = solver.fit(train, MIXED_KERNEL, loss, ProblemVariant.full(), config)
-    model = extraction.extract_model(
-        field, train, extraction.PeakConfig(grid_centers=96, grid_widths=32, merge_radius=0.1)
-    )
-    model = extraction.polish_model(
-        model, train, MIXED_KERNEL, steps=PII_FULL_POLISH_STEPS, refine_widths=True
+    peaks = extraction.PeakConfig(grid_centers=96, grid_widths=32, merge_radius=0.1)
+    variant = ProblemVariant.full()
+    state, model = _fit_extract(
+        train, MIXED_KERNEL, variant, config, peaks, PII_FULL_POLISH_STEPS, refine_widths=True
     )
     return {
         "rep": rep,
         "mse": _mse(model, test),
         "kernels": model.n_terms,
         "widths": ";".join(f"{w:.4f}" for w in model.widths),
+        "iters": state.t,
+        "converged": int(state.converged),
     }
 
 
@@ -284,30 +255,12 @@ def run_pii_full(scale: str = "desk", seed: int = 0) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 KOMP_KERNEL = KernelSpec(w_lo=0.1, w_hi=1.0, box=np.array([[0.0, 3.0]]))
-KOMP_SPARSITY_RAMP = SolverConfig(
-    gamma=5.0,
-    eta_lambda=0.05,
-    eta_mu=0.1,
-    iters=40_000,
-    integrator="quadrature",
-    center_nodes=256,
-    width_nodes=8,
-    trace_every=10_000,
-    step_decay="none",
-)
-KOMP_SPARSITY_SETTLE = SolverConfig(
-    gamma=5.0,
-    eta_lambda=0.01,
-    eta_mu=0.02,
-    iters=40_000,
-    integrator="quadrature",
-    center_nodes=256,
-    width_nodes=8,
-    trace_every=10_000,
-    step_decay="sqrt",
+KOMP_SPARSITY_CONFIG = SolverConfig(
+    gamma=5.0, eta_lambda=0.05, iters=40_000, integrator="quadrature", center_nodes=256,
+    width_nodes=8, trace_every=10_000, tol=1e-2,
 )
 KOMP_SPARSITY_CONFIG_PAPER = SolverConfig(
-    gamma=30.0, eta_lambda=0.05, eta_mu=0.1, iters=1000, center_nodes=256, width_nodes=8
+    gamma=30.0, eta_lambda=0.05, iters=1000, center_nodes=256, width_nodes=8
 )
 KOMP_SUBDIVIDE_SPACING = 0.6
 KOMP_POLISH_STEPS = 150
@@ -319,16 +272,9 @@ def _komp_sparsity_rep(args):
     w0 = 0.5
     train, _ = datasets.gen_mixed_gauss(5, w0, 20, MIXED_NOISE_SD, rep_seed)
 
-    loss = _fit_loss(train)
+    config = KOMP_SPARSITY_CONFIG if scale == "desk" else KOMP_SPARSITY_CONFIG_PAPER
     variant = ProblemVariant.fixed_width(w0)
-    if scale == "desk":
-        ramp, _ = solver.fit(train, KOMP_KERNEL, loss, variant, KOMP_SPARSITY_RAMP)
-        state, field = solver.fit(
-            train, KOMP_KERNEL, loss, variant, KOMP_SPARSITY_SETTLE,
-            init_lam=ramp.lam, init_mu=ramp.mu,
-        )
-    else:
-        state, field = solver.fit(train, KOMP_KERNEL, loss, variant, KOMP_SPARSITY_CONFIG_PAPER)
+    state, field = solver.fit(train, KOMP_KERNEL, _fit_loss(train), variant, config)
     peaks = extraction.subdivided_peaks(field, spacing_factor=KOMP_SUBDIVIDE_SPACING)
     if peaks:
         model = extraction.refit_amplitudes(peaks, train, KOMP_KERNEL)
@@ -347,6 +293,8 @@ def _komp_sparsity_rep(args):
         "ours_train_mse": ours_mse,
         "komp_kernels": komp.n_terms,
         "strictly_sparser": int(0 < model.n_terms < komp.n_terms),
+        "iters": state.t,
+        "converged": int(state.converged),
     }
 
 
@@ -364,18 +312,11 @@ def run_komp_sparsity(scale: str = "desk", seed: int = 0) -> ExperimentResult:
 
 SIN_KERNEL = KernelSpec(w_lo=0.15, w_hi=2.0, box=np.array([[-5.0, 5.0]]))
 SIN_CONFIG = SolverConfig(
-    gamma=0.5,
-    eta_lambda=3e-3,
-    eta_mu=0.02,
-    iters=40_000,
-    integrator="quadrature",
-    center_nodes=384,
-    width_nodes=24,
-    trace_every=10_000,
-    step_decay="none",
+    gamma=0.5, eta_lambda=3e-3, iters=40_000, integrator="quadrature", center_nodes=384,
+    width_nodes=24, trace_every=10_000, tol=1e-2,
 )
 SIN_CONFIG_PAPER = SolverConfig(
-    gamma=2.0, eta_lambda=0.001, eta_mu=30.0, iters=1000, center_nodes=384, width_nodes=24
+    gamma=2.0, eta_lambda=0.001, iters=1000, center_nodes=384, width_nodes=24
 )
 SIN_NOISE_SD = float(np.sqrt(1e-3))
 SIN_POLISH_STEPS = 30
@@ -388,14 +329,10 @@ def _sample_stability_rep(args):
     train = datasets.gen_sin_squared(n, SIN_NOISE_SD, seed, grid=True)
     test = datasets.gen_sin_squared(1000, SIN_NOISE_SD, seed + 10_000, grid=False)
 
-    loss = _fit_loss(train)
-    state, field = solver.fit(train, SIN_KERNEL, loss, ProblemVariant.full(), config)
-    model = extraction.extract_model(
-        field, train, extraction.PeakConfig(grid_centers=192, grid_widths=24)
-    )
+    peaks = extraction.PeakConfig(grid_centers=192, grid_widths=24)
     # widths stay as discovered; polishing them would overfit dense runs
-    model = extraction.polish_model(
-        model, train, SIN_KERNEL, steps=SIN_POLISH_STEPS, refine_widths=False
+    state, model = _fit_extract(
+        train, SIN_KERNEL, ProblemVariant.full(), config, peaks, SIN_POLISH_STEPS
     )
     count = max(model.n_terms, 1)
     # magnitude-scored elimination: the fully refit variant improves with n
@@ -411,6 +348,8 @@ def _sample_stability_rep(args):
         "mse": _mse(model, test),
         "komp_kernels": komp.n_terms,
         "komp_mse": _mse(komp, test),
+        "iters": state.t,
+        "converged": int(state.converged),
     }
 
 

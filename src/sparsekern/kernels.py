@@ -129,9 +129,11 @@ def sqdist(X, Z) -> np.ndarray:
     """
     if X.shape[1] != Z.shape[1]:
         raise DomainError(f"points of dimension {X.shape[1]} and {Z.shape[1]} do not mix")
-    d2 = (X[:, 0, None] - Z[None, :, 0]) ** 2
+    d2 = X[:, 0, None] - Z[None, :, 0]
+    np.square(d2, out=d2)
     for k in range(1, X.shape[1]):
-        d2 += (X[:, k, None] - Z[None, :, k]) ** 2
+        diff = X[:, k, None] - Z[None, :, k]
+        d2 += np.square(diff, out=diff)
     return d2
 
 
@@ -147,10 +149,10 @@ def cross(spec: KernelSpec, X, Z, W, with_sqdist: bool = False):
     W = np.asarray(W, dtype=float)
     _check_width(spec, W)
     d2 = sqdist(X, Z)
-    K = np.exp(-d2 / (2.0 * W**2))
-    if with_sqdist:
-        return K, d2
-    return K
+    # in place: one N x G array besides d2 (none without with_sqdist)
+    K = d2 / (-2.0 * W**2) if with_sqdist else np.divide(d2, -2.0 * W**2, out=d2)
+    np.exp(K, out=K)
+    return (K, d2) if with_sqdist else K
 
 
 def gram(spec: KernelSpec, X, w: float) -> np.ndarray:

@@ -1,17 +1,16 @@
-"""Convex per-sample fit costs and their dual inner minimization.
+"""Convex per-sample fit costs and their closed-form terms in the dual.
 
-Three cost kinds ship, each with a nonnegative slack epsilon so that
-``c(yhat, y) <= 0`` means "this sample's fit constraint is satisfied":
+Each cost has a nonnegative slack eps, so ``c(yhat, y) <= 0`` means the
+sample's fit constraint holds.  With the fit multiplier mu maximised out,
+phi(lam) = max over mu >= 0 of min over yhat of  mu c(yhat, y) + lam yhat:
 
-    quadratic_eps  c = (yhat - y)^2 - eps
-    absolute_eps   c = |yhat - y| - eps
-    hinge_eps      c = max(0, 1 - y * yhat) - eps
+    quadratic_eps  c = (yhat - y)^2 - eps        phi = lam y - sqrt(eps) |lam|
+    absolute_eps   c = |yhat - y| - eps          phi = lam y - eps |lam|
+    hinge_eps      c = max(0, 1 - y yhat) - eps  phi = (1 - eps) lam y on lam y >= 0
 
-The dual ascent needs, per sample, the minimizer of the 1-D convex
-objective  mu * c(yhat, y) + lam * yhat.  When that objective is unbounded
-below (mu = 0 with lam != 0, hinge or absolute with a too-large |lam|),
-the minimizer is taken over the box [y - R, y + R] with R the configured
-clamp radius, which keeps the dual objective finite during early ascent.
+(hinge labels are +-1; phi is -inf off the half-line).  ``inner_minimize``
+is the inner minimizer at a given mu, taken over [y - R, y + R] with R the
+clamp radius where that objective is unbounded below.
 """
 
 from __future__ import annotations
@@ -129,3 +128,31 @@ def inner_minimize(loss: Loss, lam, mu, y):
     if scalar:
         return float(yhat[0])
     return yhat.reshape(shape)
+
+
+def _rate(loss: Loss) -> float:
+    # slope of -phi in |lam| for the two symmetric kinds
+    return float(np.sqrt(loss.epsilon)) if loss.kind == "quadratic_eps" else loss.epsilon
+
+
+def phi(loss: Loss, lam, y) -> float:
+    """Closed-form dual fit term (mu maximised out), summed over samples."""
+    lam = np.asarray(lam, dtype=float)
+    if loss.kind == "hinge_eps":
+        if np.any(lam * y < 0.0):
+            return -np.inf
+        return (1.0 - loss.epsilon) * float(np.dot(lam, y))
+    return float(np.dot(lam, y) - _rate(loss) * np.abs(lam).sum())
+
+
+def prox(loss: Loss, v, y, t: float) -> np.ndarray:
+    """argmax over lam of  phi(lam) - (lam - v)^2 / (2 t), per sample.
+
+    A soft threshold of v + t y by t sqrt(eps) or t eps; for hinge_eps,
+    v + t (1 - eps) y projected onto the half-line lam y >= 0.
+    """
+    if loss.kind == "hinge_eps":
+        u = v + (t * (1.0 - loss.epsilon)) * y
+        return np.where(u * y >= 0.0, u, 0.0)
+    u = v + t * y
+    return np.sign(u) * np.maximum(np.abs(u) - t * _rate(loss), 0.0)

@@ -1,21 +1,36 @@
-"""Dual ascent for the sparse functional program.
+"""Certified accelerated dual ascent for the sparse functional program.
 
-The dual objective separates into per-sample fit terms and an integral
-that the thresholded field minimizes in closed form:
+With mu maximised out in closed form (``losses.phi``) the dual is a concave
+function of lambda alone,
 
-    g(lambda, mu) = sum_i [ mu_i c(yhat_i, y_i) + lambda_i yhat_i ]
-                    + integral of min(0, gamma - abar(z, w)^2 / 2),
+    g(lambda) = sum_i phi_i(lambda_i) + integral of min(0, gamma - abar^2 / 2),
 
-with abar the kernel expansion of lambda.  Supergradients come from the
-constraint violation of the inner minimizers, and a projected ascent with
-constant (optionally 1/sqrt(t)-decayed) steps climbs g.  The integral is
-evaluated either on a fixed midpoint grid (deterministic) or by volume-
-corrected Monte Carlo batches (the stochastic path).
+with abar = K^T lambda the kernel expansion of lambda at the nodes.  The
+integral's gradient is -yhat, yhat = K (w * alpha), alpha being abar
+hard-thresholded at sqrt(2 gamma); it jumps where |abar| crosses the
+threshold.
+
+On a midpoint quadrature ``fit`` runs FISTA (Beck & Teboulle 2009): a
+gradient step on the integral, then the prox of phi, with step 1/L,
+L = ||K diag(w) K^T||.  A step from the extrapolated point that does not
+raise g restarts the momentum (O'Donoghue & Candes 2015); one from the
+iterate itself halves the step.  An iteration costs two N x G matvecs:
+yhat at the extrapolated point, whose abar is linear in the last two
+iterates, and K^T of the new iterate.  Each iteration certifies the
+extrapolated point from vectors in hand: rel_gap = |P - g| / max(1, |P|)
+with P = integral of alpha^2 / 2 + gamma 1[alpha != 0] the primal value of
+its field, and max_i c(yhat_i, y_i) its constraint violation.  ``fit``
+stops when both are at most ``tol``; ``iters`` is a cap.
+
+With Monte Carlo nodes ``fit`` runs prox-SGD with step ``eta_lambda`` for
+exactly ``iters`` iterations, then certifies the result on the quadrature.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,7 +41,6 @@ from .dual_field import (
     AlphaField,
     ProblemVariant,
     Quadrature,
-    make_nodes,
     monte_carlo_nodes,
     quadrature_nodes,
 )
@@ -42,32 +56,28 @@ _PRECOMPUTE_LIMIT = 30_000_000
 class SolverConfig:
     gamma: float
     eta_lambda: float
-    eta_mu: float
     iters: int
+    tol: float = 1e-3
     batch: int = 64
     seed: int = 0
-    mu_floor: float = 1e-8
     integrator: str = "monte_carlo"
     center_nodes: int = 256
     width_nodes: int = 64
     trace_every: int = 50
-    step_decay: str = "none"
 
     def __post_init__(self):
         if self.gamma < 0:
             raise ConfigError("gamma must be nonnegative")
-        if not (self.eta_lambda > 0 and self.eta_mu > 0):
+        if not self.eta_lambda > 0:
             raise ConfigError("step sizes must be positive")
         if self.iters < 1:
             raise ConfigError("iteration count must be >= 1")
+        if not self.tol > 0:
+            raise ConfigError("tol must be positive")
         if self.batch < 1:
             raise ConfigError("batch must be >= 1")
-        if self.mu_floor < 0:
-            raise ConfigError("mu_floor must be nonnegative")
         if self.integrator not in ("quadrature", "monte_carlo"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
-        if self.step_decay not in ("none", "sqrt"):
-            raise ConfigError(f"unknown step decay {self.step_decay!r}")
         if self.trace_every < 1:
             raise ConfigError("trace_every must be >= 1")
 
@@ -76,8 +86,10 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
-        kw = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
-        for key, val in kw.items():
+        kw = {}
+        for key, val in d.items():
+            if key not in cls.__dataclass_fields__:
+                raise ConfigError(f"unknown solver setting {key!r}")
             kind = cls.__dataclass_fields__[key].type
             if kind == "str":
                 ok = isinstance(val, str)
@@ -86,18 +98,22 @@ class SolverConfig:
                 ok = ok and (kind == "float" or float(val).is_integer())
             if not ok:
                 raise ConfigError(f"solver setting {key!r} must be of type {kind}, got {val!r}")
-            if kind == "int":
-                kw[key] = int(val)
+            kw[key] = int(val) if kind == "int" else val
         return cls(**kw)
 
 
 @dataclass
 class DualState:
+    """Final multipliers, iterations run (``t``), and the certificate of their field."""
+
     lam: np.ndarray
-    mu: np.ndarray
     t: int = 0
     g_trace: list = field(default_factory=list)
-    best_g: float = -np.inf
+    converged: bool = False
+    g: float = -np.inf
+    primal: float = np.inf
+    rel_gap: float = np.inf
+    max_c: float = np.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,60 +128,71 @@ class Problem:
         self.variant.validate_against(self.kernel)
         if self.gamma < 0:
             raise DomainError("gamma must be nonnegative")
+        if self.loss.kind == "hinge_eps" and np.any(np.abs(self.samples.y) != 1.0):
+            raise DomainError("hinge_eps needs labels -1 or +1")
 
 
-def _integral_terms(problem, lam, Z, W, wts, K=None):
-    """Integral part of g, the projections of alpha, and their lambda term.
+class _NodeMatrix:
+    """K[i, j] = k(x_i; z_j, w_j) on fixed nodes: held whole, or rebuilt in chunks."""
 
-    Returns (g_int, proj) with proj_i = integral of alpha * k(x_i, .).
-    A precomputed kernel matrix is the single chunk; otherwise the node set
-    is streamed in chunks.
-    """
-    X = problem.samples.X
-    thr2 = 2.0 * problem.gamma
-    n = X.shape[0]
-    chunk = Z.shape[0] if K is not None else max(1, int(_PRECOMPUTE_LIMIT // max(n, 1)))
-    g_int = 0.0
-    proj = np.zeros(n)
-    for s in range(0, Z.shape[0], chunk):
-        if K is None:
-            Kc = kernels.cross(problem.kernel, X, Z[s : s + chunk], W[s : s + chunk])
-        else:
-            Kc = K
-        smooth = Kc.T @ lam
-        sparse = np.where(smooth * smooth > thr2, smooth, 0.0)
-        wc = wts[s : s + chunk]
-        g_int += float(wc @ np.minimum(0.0, problem.gamma - 0.5 * smooth**2))
-        proj += Kc @ (wc * sparse)
-    return g_int, proj
+    def __init__(self, kernel, X, Z, W):
+        self._args = (kernel, X, Z, W)
+        self._step = max(1, _PRECOMPUTE_LIMIT // X.shape[0])
+        self.K = kernels.cross(kernel, X, Z, W) if Z.shape[0] <= self._step else None
+
+    def _chunks(self):
+        if self.K is not None:
+            return [(slice(None), self.K)]
+        kernel, X, Z, W = self._args
+        parts = [slice(s, s + self._step) for s in range(0, Z.shape[0], self._step)]
+        return ((part, kernels.cross(kernel, X, Z[part], W[part])) for part in parts)
+
+    def rmatvec(self, lam):
+        """K^T lam: the smooth surface abar at the nodes."""
+        parts = [Kc.T @ lam for _, Kc in self._chunks()]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def matvec(self, v):
+        return sum(Kc @ v[part] for part, Kc in self._chunks())
+
+    def norm(self, wts) -> float:
+        """||K diag(w) K^T||: sums B B^T over small column blocks B of K diag(sqrt(w))."""
+        gram = 0.0
+        for part, Kc in self._chunks():
+            for j in range(0, Kc.shape[1], 512):
+                B = Kc[:, j : j + 512] * np.sqrt(wts[part][j : j + 512])
+                gram = gram + B @ B.T
+        return float(np.linalg.eigvalsh(gram)[-1])
 
 
-def _dual_terms(problem, lam, mu, Z, W, wts, K=None):
-    y = problem.samples.y
-    yhat = losses.inner_minimize(problem.loss, lam, mu, y)
-    cvals = np.asarray(losses.value(problem.loss, yhat, y))
-    g_fit = float(mu @ cvals + lam @ yhat)
-    g_int, proj = _integral_terms(problem, lam, Z, W, wts, K)
-    d_lam = yhat - proj
-    return g_fit + g_int, d_lam, cvals, proj
+# g, P, rel_gap, max_i c(yhat_i, y_i), alpha's support mask, yhat = K (w * alpha)
+_Certificate = namedtuple("_Certificate", "g primal rel_gap max_c on yhat")
+
+
+def _certify(problem, lam, smooth, wts, matvec, t):
+    """The certificate of lambda, whose abar at the nodes is ``smooth``."""
+    gamma = problem.gamma
+    on = np.abs(smooth) > np.sqrt(2.0 * gamma)
+    wa = wts * smooth * on
+    sq = float(wa @ smooth)
+    mass = float(wts @ on)
+    g = losses.phi(problem.loss, lam, problem.samples.y) + gamma * mass - 0.5 * sq
+    primal = gamma * mass + 0.5 * sq
+    yhat = matvec(wa)
+    max_c = float(np.max(losses.value(problem.loss, yhat, problem.samples.y)))
+    rel_gap = abs(primal - g) / max(1.0, abs(primal))
+    # g = -inf is no failure: an extrapolated point may leave hinge's half-line
+    if not (np.isfinite(max_c) and g < np.inf):
+        raise DivergenceError(t, float(np.linalg.norm(lam)))
+    return _Certificate(g, primal, rel_gap, max_c, on, yhat)
 
 
 def dual_objective(state: DualState, problem: Problem, quad: Quadrature) -> float:
-    """Deterministic g(lambda, mu) under the given midpoint rule."""
-    if np.any(state.mu < 0):
-        raise DomainError("mu must be nonnegative")
+    """Deterministic g(lambda) under the given midpoint rule."""
     Z, W, wts = quadrature_nodes(problem.kernel, problem.variant, quad)
-    g, _, _, _ = _dual_terms(problem, state.lam, state.mu, Z, W, wts)
-    return g
-
-
-def supergradient(state: DualState, problem: Problem, integrator):
-    """(d_lambda, d_mu) at the state; unbiased for lambda under Monte Carlo."""
-    if np.any(state.mu < 0):
-        raise DomainError("mu must be nonnegative")
-    Z, W, wts = make_nodes(problem.kernel, problem.variant, integrator)
-    _, d_lam, d_mu, _ = _dual_terms(problem, state.lam, state.mu, Z, W, wts)
-    return d_lam, d_mu
+    smooth = _NodeMatrix(problem.kernel, problem.samples.X, Z, W).rmatvec(state.lam)
+    g_int = float(wts @ np.minimum(0.0, problem.gamma - 0.5 * smooth**2))
+    return losses.phi(problem.loss, state.lam, problem.samples.y) + g_int
 
 
 def primal_objective(field_: AlphaField, quad: Quadrature) -> float:
@@ -176,6 +203,53 @@ def primal_objective(field_: AlphaField, quad: Quadrature) -> float:
     return float(wts @ (0.5 * vals**2 + field_.gamma * support))
 
 
+def _accelerated_ascent(problem, op, wts, config, record):
+    """FISTA with restart and step halving; returns (lambda, t, certificate)."""
+    loss, y, gamma = problem.loss, problem.samples.y, problem.gamma
+    step = 1.0 / max(op.norm(wts), 1e-300)
+    x = x_prev = np.zeros(problem.samples.n)
+    s = s_prev = op.rmatvec(x)
+    g_x, theta, beta, t = 0.0, 1.0, 0.0, 0  # g(0) = 0
+    while True:
+        # the extrapolated point and its abar, by linearity
+        lam = x + beta * (x - x_prev) if beta else x
+        smooth = s + beta * (s - s_prev) if beta else s
+        cert = _certify(problem, lam, smooth, wts, op.matvec, t)
+        done = (cert.rel_gap <= config.tol and cert.max_c <= config.tol) or t == config.iters
+        record(t, cert, done)
+        if done:
+            return lam, t, cert
+        x_new = losses.prox(loss, lam - step * cert.yhat, y, step)
+        s_new = op.rmatvec(x_new)
+        # min(0, gamma - s^2 / 2) = (min(s^2, 2 gamma) - s^2) / 2
+        sq = s_new * s_new
+        g_new = losses.phi(loss, x_new, y) + 0.5 * float(wts @ (np.minimum(sq, 2.0 * gamma) - sq))
+        t += 1
+        if g_new >= g_x:
+            x_prev, s_prev, x, s, g_x = x, s, x_new, s_new, g_new
+            theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+            beta, theta = (theta - 1.0) / theta_next, theta_next
+        elif beta:
+            theta, beta = 1.0, 0.0
+        else:
+            step *= 0.5
+        if t == config.iters:
+            beta = 0.0  # the last pass certifies the iterate itself
+
+
+def _prox_sgd(problem, config, record):
+    """Prox-SGD on fresh Monte Carlo nodes for exactly ``iters`` iterations."""
+    rng = np.random.default_rng(config.seed)
+    lam, eta = np.zeros(problem.samples.n), config.eta_lambda
+    for t in range(config.iters):
+        Z, W, wts = monte_carlo_nodes(problem.kernel, problem.variant, config.batch, rng)
+        K = kernels.cross(problem.kernel, problem.samples.X, Z, W)
+        cert = _certify(problem, lam, K.T @ lam, wts, K.__matmul__, t)
+        record(t, cert, False)
+        lam = losses.prox(problem.loss, lam - eta * cert.yhat, problem.samples.y, eta)
+    return lam
+
+
 def fit(
     samples: SampleSet,
     kernel: KernelSpec,
@@ -183,76 +257,37 @@ def fit(
     variant: ProblemVariant,
     config: SolverConfig,
     trace_path=None,
-    init_lam=None,
-    init_mu=None,
 ):
-    """Projected supergradient ascent; returns (DualState, AlphaField).
+    """Maximise the dual from lambda = 0; returns (DualState, AlphaField).
 
-    The returned field is built from the final iterate; the best objective
-    value seen along the run is kept on the state as ``best_g``.  A fixed
-    seed yields a bit-identical trace.  ``init_lam``/``init_mu`` warm-start
-    the ascent (defaults: zeros and ones).
+    The state holds the iterations run (``t``) and the certificate of the
+    field on the midpoint quadrature.  A fixed seed gives a bit-identical run.
     """
     problem = Problem(samples, kernel, loss, variant, config.gamma)
-    n = samples.n
-    lam = np.zeros(n) if init_lam is None else np.asarray(init_lam, dtype=float).copy()
-    mu = (
-        np.full(n, max(1.0, config.mu_floor))
-        if init_mu is None
-        else np.maximum(np.asarray(init_mu, dtype=float), config.mu_floor)
-    )
-    if lam.shape != (n,) or mu.shape != (n,):
-        raise ConfigError("warm-start vectors must have one entry per sample")
-    state = DualState(lam=lam, mu=mu)
+    Z, W, wts = quadrature_nodes(kernel, variant, Quadrature(config.center_nodes, config.width_nodes))
+    g_trace = []
+    with open(trace_path, "w", newline="") if trace_path else contextlib.nullcontext() as fh:
+        writer = csv.writer(fh) if fh else None
+        if writer:
+            writer.writerow(["t", "g", "rel_gap", "max_violation", "support_fraction"])
 
-    quad = Quadrature(config.center_nodes, config.width_nodes)
-    rng = np.random.default_rng(config.seed)
-    fixed_nodes = None
-    K = None
-    if config.integrator == "quadrature":
-        fixed_nodes = quadrature_nodes(kernel, variant, quad)
-        if n * fixed_nodes[0].shape[0] <= _PRECOMPUTE_LIMIT:
-            K = kernels.cross(kernel, samples.X, fixed_nodes[0], fixed_nodes[1])
+        def record(t, cert, final):
+            if t % config.trace_every == 0 or final:
+                g_trace.append((t, cert.g))
+                if writer:
+                    support = np.count_nonzero(cert.on) / cert.on.size
+                    writer.writerow([t, cert.g, cert.rel_gap, max(0.0, cert.max_c), support])
 
-    writer = None
-    trace_fh = None
-    if trace_path is not None:
-        trace_fh = open(trace_path, "w", newline="")
-        writer = csv.writer(trace_fh)
-        writer.writerow(["t", "g_estimate", "d_lambda_norm", "max_violation"])
-
-    try:
         # overflow and NaN surface as a DivergenceError, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            # the last pass only evaluates the final iterate
-            for t in range(config.iters + 1):
-                if fixed_nodes is not None:
-                    Z, W, wts = fixed_nodes
-                else:
-                    Z, W, wts = monte_carlo_nodes(kernel, variant, config.batch, rng)
-                g, d_lam, d_mu, proj = _dual_terms(problem, state.lam, state.mu, Z, W, wts, K)
-                finite = np.all(np.isfinite(d_lam)) and np.all(np.isfinite(d_mu))
-                if not (finite and np.isfinite(g)):
-                    raise DivergenceError(
-                        t, float(np.linalg.norm(state.lam)), float(np.linalg.norm(state.mu))
-                    )
-                if t % config.trace_every == 0 or t == config.iters:
-                    state.g_trace.append((t, g))
-                    if writer is not None:
-                        viol = float(np.max(losses.value(loss, proj, samples.y)))
-                        writer.writerow([t, g, float(np.linalg.norm(d_lam)), viol])
-                state.best_g = max(state.best_g, g)
-                if t == config.iters:
-                    break
-                decay = 1.0 / np.sqrt(t + 1.0) if config.step_decay == "sqrt" else 1.0
-                state.lam = state.lam + config.eta_lambda * decay * d_lam
-                state.mu = np.maximum(state.mu + config.eta_mu * decay * d_mu, config.mu_floor)
-        state.t = config.iters
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
-
-    field_ = AlphaField(
-        samples=samples, lam=state.lam, gamma=config.gamma, kernel=kernel, variant=variant
-    )
-    return state, field_
+            if config.integrator == "quadrature":
+                op = _NodeMatrix(kernel, samples.X, Z, W)
+                lam, t, cert = _accelerated_ascent(problem, op, wts, config, record)
+            else:
+                lam, t = _prox_sgd(problem, config, record), config.iters
+                op = _NodeMatrix(kernel, samples.X, Z, W)
+                cert = _certify(problem, lam, op.rmatvec(lam), wts, op.matvec, t)
+                record(t, cert, True)
+    converged = cert.rel_gap <= config.tol and cert.max_c <= config.tol
+    state = DualState(lam, t, g_trace, converged, *cert[:4])
+    return state, AlphaField(samples, lam, config.gamma, kernel, variant)

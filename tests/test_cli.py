@@ -80,3 +80,38 @@ def test_eval_accuracy_metric_is_rejected(train_csv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", str(tmp_path / "model.json"), train_csv, "--metric", "accuracy"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["iter", "eta_mu"])
+def test_unknown_or_retired_solver_key_exits_2(key, train_csv, tmp_path, capsys):
+    # a typo and a setting of the retired supergradient method are refused, not ignored
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"solver": {key: 10}}))
+    out = str(tmp_path / "m.json")
+    argv = ["fit", train_csv, *FIT_FLAGS, "--config", str(config), "--out", out]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and repr(key) in err[0]
+
+
+def test_fit_prints_a_convergence_summary_and_writes_the_trace(train_csv, tmp_path, capsys):
+    out = str(tmp_path / "model.json")
+    argv = ["fit", train_csv, *FIT_FLAGS[:6], "--iters", "400", "--integrator", "quadrature"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"solver": {"center_nodes": 64, "width_nodes": 16, "tol": 1e-2}}))
+    assert cli.main([*argv, "--config", str(config), "--out", out]) == 0
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.strip().splitlines())
+    assert list(lines) == [
+        "terms", "threshold", "max_constraint_violation", "converged", "iterations", "rel_gap",
+    ]
+    assert lines["converged"] == "yes"
+    assert 0 < int(lines["iterations"]) < 400
+    assert float(lines["rel_gap"]) <= 1e-2 and float(lines["max_constraint_violation"]) <= 1e-2
+    trace = (tmp_path / "model.json.trace.csv").read_text().strip().splitlines()
+    assert trace[0] == "t,g,rel_gap,max_violation,support_fraction"
+    last = [float(v) for v in trace[-1].split(",")]
+    assert last[0] == int(lines["iterations"]) and last[2] == float(lines["rel_gap"])
+    # the Monte Carlo default runs to its cap and says so
+    assert cli.main(["fit", train_csv, *FIT_FLAGS, "--out", out]) == 0
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.strip().splitlines())
+    assert lines["iterations"] == "5" and lines["converged"] in ("yes", "no")

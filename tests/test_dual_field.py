@@ -55,6 +55,25 @@ def test_smooth_matches_summation_oracle():
         assert field.coeff_smooth(z, w) == pytest.approx(oracle, abs=1e-12)
 
 
+def test_smooth_gradient_far_from_the_origin_matches_kernel_grad_sum():
+    # at offset 1e6 with w = 0.1, forming sum lam k (x - z) as M^T X - vals z cancels
+    off, w = 1e6, 0.1
+    kernel = KernelSpec(w_lo=0.05, w_hi=1.0, box=np.array([[off, off + 1.0]]))
+    X = off + np.array([[0.30], [0.41], [0.47], [0.62], [0.70]])
+    data = SampleSet(X, np.zeros(5), kernel.box)
+    lam = np.array([1.0, -0.5, 2.0, 0.7, -1.2])
+    field = AlphaField(data, lam, 0.1, kernel, ProblemVariant.full())
+    Z = off + np.array([[0.45], [0.50], [0.58]])
+    W = np.full(3, w)
+    vals, gz, gw = field.smooth_with_grad(Z, W)
+    for j, z in enumerate(Z):
+        parts = [kernels.grad(kernel, x, z, w) for x in X]
+        oracle_z = sum(l * dz for l, (dz, _) in zip(lam, parts))
+        oracle_w = sum(l * dw for l, (_, dw) in zip(lam, parts))
+        assert gz[j] == pytest.approx(oracle_z, rel=1e-12)
+        assert gw[j] == pytest.approx(oracle_w, rel=1e-12)
+
+
 def test_threshold_cases():
     # gamma = 0.5 thresholds at 1; scale lambda to land on either side
     data = gen_remark1(1 + 1, 3)

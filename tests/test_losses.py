@@ -122,3 +122,48 @@ def test_default_loss_epsilon_and_clamp():
 def test_loss_json_round_trip():
     loss = Loss("absolute_eps", 0.2, 3.0)
     assert Loss.from_dict(loss.to_dict()) == loss
+
+
+def zoom_argmax(f, lo, hi, rounds=14, points=61):
+    """Argmax of a concave 1-D function by repeated grid refinement."""
+    for _ in range(rounds):
+        grid = np.linspace(lo, hi, points)
+        vals = np.array([f(x) for x in grid])
+        k = int(np.argmax(vals))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, points - 1)]
+    return grid[k], vals[k]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_phi_is_the_max_over_mu_of_the_inner_fit_term(kind):
+    # phi(lam) = max over mu >= 0 of  mu c(yhat*, y) + lam yhat*,  yhat* = inner_minimize
+    rng = np.random.default_rng(11)
+    loss = Loss(kind, 0.05, 40.0)
+    for _ in range(20):
+        y = rng.choice([-1.0, 1.0]) if kind == "hinge_eps" else rng.normal(0, 2)
+        lam = rng.normal(0, 2)
+        if kind == "hinge_eps":
+            lam = abs(lam) * y
+        def fit_term(mu):
+            yhat = losses.inner_minimize(loss, lam, mu, y)
+            return mu * losses.value(loss, yhat, y) + lam * yhat
+        _, best = zoom_argmax(fit_term, 0.0, 60.0)
+        assert losses.phi(loss, lam, y) == pytest.approx(best, abs=1e-9)
+    if kind == "hinge_eps":
+        assert losses.phi(loss, np.array([0.5, 0.5]), np.array([1.0, -1.0])) == -np.inf
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_prox_matches_grid_argmax(kind):
+    rng = np.random.default_rng(12)
+    loss = Loss(kind, 0.05, 10.0)
+    for _ in range(30):
+        y = rng.choice([-1.0, 1.0]) if kind == "hinge_eps" else rng.normal(0, 2)
+        v, t = rng.normal(0, 2), rng.uniform(0.01, 3.0)
+        got = losses.prox(loss, np.array([v]), np.array([y]), t)[0]
+        def objective(lam):
+            return losses.phi(loss, lam, y) - (lam - v) ** 2 / (2 * t)
+        want, best = zoom_argmax(objective, v - 10.0, v + 10.0 + 10.0 * t)
+        # the objective is flat to rounding within ~1e-8 of its maximiser
+        assert got == pytest.approx(want, abs=1e-6)
+        assert objective(got) >= best - 1e-12
