@@ -7,7 +7,7 @@ the dual domain, then extracts low-complexity discrete kernel models.
 
 from .baselines import KompConfig, komp_fit, ridge_fit
 from .datasets import SampleSet, gen_mixed_gauss, gen_remark1, gen_sin_squared
-from .dual_field import AlphaField, MonteCarlo, ProblemVariant, Quadrature, bump_field
+from .dual_field import AlphaField, ProblemVariant, Quadrature, bump_field
 from .extraction import PeakConfig, extract_model, find_peaks, refit_amplitudes
 from .kernels import KernelSpec
 from .losses import Loss, default_loss
@@ -21,7 +21,6 @@ __all__ = [
     "KernelSpec",
     "KompConfig",
     "Loss",
-    "MonteCarlo",
     "PeakConfig",
     "Problem",
     "ProblemVariant",

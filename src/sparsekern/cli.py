@@ -45,17 +45,9 @@ def _load_config(path, args, data) -> tuple[SolverConfig, KernelSpec, Loss]:
     if not isinstance(doc, dict) or not isinstance(doc.get("solver", {}), dict):
         raise ConfigError(f"{path}: expected a JSON object with solver/kernel/loss sections")
     solver_doc = dict(doc.get("solver", {}))
-    overrides = {
-        "gamma": args.gamma,
-        "eta_lambda": args.eta_lambda,
-        "iters": args.iters,
-        "batch": args.batch,
-        "seed": args.seed,
-    }
+    overrides = {"gamma": args.gamma, "iters": args.iters}
     solver_doc.update({key: val for key, val in overrides.items() if val is not None})
-    if args.integrator is not None:
-        solver_doc["integrator"] = {"mc": "monte_carlo", "quadrature": "quadrature"}[args.integrator]
-    for key in ("gamma", "eta_lambda", "iters"):
+    for key in ("gamma", "iters"):
         if key not in solver_doc:
             raise ConfigError(f"missing solver setting {key!r} (flag or config file)")
     config = SolverConfig.from_dict(solver_doc)
@@ -124,20 +116,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sparsekern")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit a sparse kernel model to a CSV dataset")
+    p_fit = sub.add_parser("fit", help="fit a certified sparse kernel model to a CSV dataset")
     p_fit.add_argument("data", help="training data CSV (x1,...,xp,y)")
     p_fit.add_argument("--config", help="JSON with solver/kernel/loss sections")
     p_fit.add_argument("--variant", default="full", help="full | fixed-width=W | fixed-centers=FILE")
     p_fit.add_argument("--out", required=True, help="output model JSON path")
-    p_fit.add_argument("--gamma", type=float)
-    p_fit.add_argument("--eta-lambda", dest="eta_lambda", type=float)
-    p_fit.add_argument("--eta-mu", type=float, help="ignored: mu is maximised out in closed form")
-    p_fit.add_argument("--iters", type=int)
-    p_fit.add_argument("--batch", type=int)
-    p_fit.add_argument("--seed", type=int)
+    p_fit.add_argument("--gamma", type=float, help="sparsity penalty per unit of support")
+    p_fit.add_argument(
+        "--iters", type=int, help="iteration cap; the fit stops earlier once certified to tol"
+    )
     p_fit.add_argument("--loss", choices=sorted(LOSS_NAMES))
     p_fit.add_argument("--epsilon", type=float)
-    p_fit.add_argument("--integrator", choices=["quadrature", "mc"])
+    # the benchmark passes these three; delete them with the next benchmark change
+    p_fit.add_argument("--eta-lambda", type=float, help="ignored: the step is 1/L")
+    p_fit.add_argument("--eta-mu", type=float, help="ignored: mu is maximised out in closed form")
+    p_fit.add_argument("--integrator", choices=["quadrature"], help="ignored: always quadrature")
     p_fit.set_defaults(func=cmd_fit)
 
     p_eval = sub.add_parser("eval", help="print a saved model's MSE on a CSV dataset")

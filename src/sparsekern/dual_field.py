@@ -98,18 +98,6 @@ class Quadrature:
             raise ConfigError("quadrature grids need at least one node per axis")
 
 
-@dataclass(frozen=True)
-class MonteCarlo:
-    """Uniform sampling of the integration domain with a volume correction."""
-
-    batch: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.batch < 1:
-            raise ConfigError("Monte Carlo batch must be >= 1")
-
-
 def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     h = (hi - lo) / n
     return lo + h * (np.arange(n) + 0.5), h
@@ -147,6 +135,7 @@ def quadrature_nodes(kernel: KernelSpec, variant: ProblemVariant, quad: Quadratu
     return Z, W, wts
 
 
+# the benchmark tracer wraps it by name; delete with the next benchmark change
 def monte_carlo_nodes(kernel: KernelSpec, variant: ProblemVariant, batch: int, rng):
     """Uniform draws (Z, W, weights) whose weighted sum estimates the integral."""
     box = kernel.box
@@ -168,15 +157,6 @@ def monte_carlo_nodes(kernel: KernelSpec, variant: ProblemVariant, batch: int, r
         vol = float(np.prod(box[:, 1] - box[:, 0]))
     wts = np.full(batch, vol / batch)
     return Z, W, wts
-
-
-def make_nodes(kernel: KernelSpec, variant: ProblemVariant, integrator):
-    if isinstance(integrator, Quadrature):
-        return quadrature_nodes(kernel, variant, integrator)
-    if isinstance(integrator, MonteCarlo):
-        rng = np.random.default_rng(integrator.seed)
-        return monte_carlo_nodes(kernel, variant, integrator.batch, rng)
-    raise ConfigError(f"unknown integrator {integrator!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,12 +235,12 @@ class AlphaField:
         gw = (M * d2).sum(axis=0) / W**3
         return vals, gz, gw
 
-    def predict(self, x, integrator) -> float:
-        """Integral of alpha * k(x, .) over the variant's domain."""
-        return float(self.predict_batch(np.asarray(x, dtype=float).reshape(1, -1), integrator)[0])
+    def predict(self, x, quad: Quadrature) -> float:
+        """Integral of alpha * k(x, .) over the variant's domain, by the midpoint rule."""
+        return float(self.predict_batch(np.asarray(x, dtype=float).reshape(1, -1), quad)[0])
 
-    def predict_batch(self, X, integrator) -> np.ndarray:
-        Z, W, wts = make_nodes(self.kernel, self.variant, integrator)
+    def predict_batch(self, X, quad: Quadrature) -> np.ndarray:
+        Z, W, wts = quadrature_nodes(self.kernel, self.variant, quad)
         vals = self.coeff_at_nodes(Z, W)
         K = kernels.cross(self.kernel, X, Z, W)
         return K @ (wts * vals)

@@ -16,6 +16,6 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
         self.lam_norm = lam_norm
         super().__init__(
-            f"non-finite dual value at iteration {iteration} (|lambda|={lam_norm:.6g}); reduce "
-            "eta_lambda or the batch variance, or check that the fit constraints can be met"
+            f"non-finite dual value at iteration {iteration} (|lambda|={lam_norm:.6g}); "
+            "check the label scale and that the fit constraints can be met"
         )

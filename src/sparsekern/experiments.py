@@ -81,8 +81,7 @@ def _fit_loss(train) -> Loss:
 
 REMARK1_KERNEL = KernelSpec(w_lo=0.5, w_hi=1.5, box=np.array([[0.0, 5.0]]))
 REMARK1_CONFIG = SolverConfig(
-    gamma=0.2, eta_lambda=0.3, iters=120_000, integrator="quadrature", center_nodes=1024,
-    width_nodes=8, trace_every=10_000,
+    gamma=0.2, iters=120_000, center_nodes=1024, width_nodes=8, trace_every=10_000
 )
 REMARK1_LOSS = Loss(kind="quadratic_eps", epsilon=1e-3, clamp_radius=10.0)
 
@@ -137,11 +136,8 @@ def run_remark1(scale: str = "desk", seed: int = 0) -> ExperimentResult:
 
 MIXED_KERNEL = KernelSpec(w_lo=0.1, w_hi=1.0, box=np.array([[0.0, 3.0]]))
 MIXED_NOISE_SD = float(np.sqrt(1e-3))
-PII2_CONFIG = SolverConfig(
-    gamma=5.0, eta_lambda=8e-4, iters=12_000, integrator="quadrature", width_nodes=32,
-    trace_every=2000, tol=1e-2,
-)
-PII2_CONFIG_PAPER = SolverConfig(gamma=4000.0, eta_lambda=0.001, iters=5000, width_nodes=48)
+PII2_CONFIG = SolverConfig(gamma=5.0, iters=12_000, width_nodes=32, trace_every=2000, tol=1e-2)
+PII2_CONFIG_PAPER = SolverConfig(gamma=4000.0, iters=5000, width_nodes=48)
 # near-interpolating reg: the classical baseline carries hard fit constraints
 GRID_RIDGE_REG = 1e-6
 PII2_MERGE_RADIUS = 0.1
@@ -208,12 +204,11 @@ def run_grid_vs_pii2(scale: str = "desk", seed: int = 0) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 PII_FULL_CONFIG = SolverConfig(
-    gamma=0.2, eta_lambda=5e-3, iters=12_000, integrator="quadrature", center_nodes=192,
-    width_nodes=32, trace_every=2000,
+    gamma=0.2, iters=12_000, center_nodes=192, width_nodes=32, trace_every=2000,
     # eps equals the noise variance: no lambda gets below ~4e-3 violation here
     tol=1e-2,
 )
-PII_FULL_CONFIG_PAPER = SolverConfig(gamma=1000.0, eta_lambda=0.01, iters=1000)
+PII_FULL_CONFIG_PAPER = SolverConfig(gamma=1000.0, iters=1000)
 PII_FULL_POLISH_STEPS = 120
 
 
@@ -256,12 +251,9 @@ def run_pii_full(scale: str = "desk", seed: int = 0) -> ExperimentResult:
 
 KOMP_KERNEL = KernelSpec(w_lo=0.1, w_hi=1.0, box=np.array([[0.0, 3.0]]))
 KOMP_SPARSITY_CONFIG = SolverConfig(
-    gamma=5.0, eta_lambda=0.05, iters=40_000, integrator="quadrature", center_nodes=256,
-    width_nodes=8, trace_every=10_000, tol=1e-2,
+    gamma=5.0, iters=40_000, center_nodes=256, width_nodes=8, trace_every=10_000, tol=1e-2
 )
-KOMP_SPARSITY_CONFIG_PAPER = SolverConfig(
-    gamma=30.0, eta_lambda=0.05, iters=1000, center_nodes=256, width_nodes=8
-)
+KOMP_SPARSITY_CONFIG_PAPER = SolverConfig(gamma=30.0, iters=1000, center_nodes=256, width_nodes=8)
 KOMP_SUBDIVIDE_SPACING = 0.6
 KOMP_POLISH_STEPS = 150
 
@@ -312,12 +304,9 @@ def run_komp_sparsity(scale: str = "desk", seed: int = 0) -> ExperimentResult:
 
 SIN_KERNEL = KernelSpec(w_lo=0.15, w_hi=2.0, box=np.array([[-5.0, 5.0]]))
 SIN_CONFIG = SolverConfig(
-    gamma=0.5, eta_lambda=3e-3, iters=40_000, integrator="quadrature", center_nodes=384,
-    width_nodes=24, trace_every=10_000, tol=1e-2,
+    gamma=0.5, iters=40_000, center_nodes=384, width_nodes=24, trace_every=10_000, tol=1e-2
 )
-SIN_CONFIG_PAPER = SolverConfig(
-    gamma=2.0, eta_lambda=0.001, iters=1000, center_nodes=384, width_nodes=24
-)
+SIN_CONFIG_PAPER = SolverConfig(gamma=2.0, iters=1000, center_nodes=384, width_nodes=24)
 SIN_NOISE_SD = float(np.sqrt(1e-3))
 SIN_POLISH_STEPS = 30
 SIN_KOMP_WIDTH = 0.5

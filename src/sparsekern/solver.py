@@ -10,7 +10,7 @@ integral's gradient is -yhat, yhat = K (w * alpha), alpha being abar
 hard-thresholded at sqrt(2 gamma); it jumps where |abar| crosses the
 threshold.
 
-On a midpoint quadrature ``fit`` runs FISTA (Beck & Teboulle 2009): a
+``fit`` runs FISTA (Beck & Teboulle 2009) on a midpoint quadrature: a
 gradient step on the integral, then the prox of phi, with step 1/L,
 L = ||K diag(w) K^T||.  A step from the extrapolated point that does not
 raise g restarts the momentum (O'Donoghue & Candes 2015); one from the
@@ -21,9 +21,6 @@ extrapolated point from vectors in hand: rel_gap = |P - g| / max(1, |P|)
 with P = integral of alpha^2 / 2 + gamma 1[alpha != 0] the primal value of
 its field, and max_i c(yhat_i, y_i) its constraint violation.  ``fit``
 stops when both are at most ``tol``; ``iters`` is a cap.
-
-With Monte Carlo nodes ``fit`` runs prox-SGD with step ``eta_lambda`` for
-exactly ``iters`` iterations, then certifies the result on the quadrature.
 """
 
 from __future__ import annotations
@@ -41,7 +38,8 @@ from .dual_field import (
     AlphaField,
     ProblemVariant,
     Quadrature,
-    monte_carlo_nodes,
+    # the benchmark tracer wraps it here too; delete with the next benchmark change
+    monte_carlo_nodes,  # noqa: F401
     quadrature_nodes,
 )
 from .errors import ConfigError, DivergenceError, DomainError
@@ -55,29 +53,21 @@ _PRECOMPUTE_LIMIT = 30_000_000
 @dataclass(frozen=True)
 class SolverConfig:
     gamma: float
-    eta_lambda: float
     iters: int
     tol: float = 1e-3
-    batch: int = 64
-    seed: int = 0
-    integrator: str = "monte_carlo"
     center_nodes: int = 256
     width_nodes: int = 64
     trace_every: int = 50
+    # no field: the benchmark tracer reads it; delete with the next benchmark change
+    integrator = "quadrature"
 
     def __post_init__(self):
         if self.gamma < 0:
             raise ConfigError("gamma must be nonnegative")
-        if not self.eta_lambda > 0:
-            raise ConfigError("step sizes must be positive")
         if self.iters < 1:
             raise ConfigError("iteration count must be >= 1")
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
-        if self.batch < 1:
-            raise ConfigError("batch must be >= 1")
-        if self.integrator not in ("quadrature", "monte_carlo"):
-            raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.trace_every < 1:
             raise ConfigError("trace_every must be >= 1")
 
@@ -91,12 +81,8 @@ class SolverConfig:
             if key not in cls.__dataclass_fields__:
                 raise ConfigError(f"unknown solver setting {key!r}")
             kind = cls.__dataclass_fields__[key].type
-            if kind == "str":
-                ok = isinstance(val, str)
-            else:
-                ok = isinstance(val, (int, float)) and not isinstance(val, bool)
-                ok = ok and (kind == "float" or float(val).is_integer())
-            if not ok:
+            numeric = isinstance(val, (int, float)) and not isinstance(val, bool)
+            if not (numeric and (kind == "float" or float(val).is_integer())):
                 raise ConfigError(f"solver setting {key!r} must be of type {kind}, got {val!r}")
             kw[key] = int(val) if kind == "int" else val
         return cls(**kw)
@@ -237,19 +223,6 @@ def _accelerated_ascent(problem, op, wts, config, record):
             beta = 0.0  # the last pass certifies the iterate itself
 
 
-def _prox_sgd(problem, config, record):
-    """Prox-SGD on fresh Monte Carlo nodes for exactly ``iters`` iterations."""
-    rng = np.random.default_rng(config.seed)
-    lam, eta = np.zeros(problem.samples.n), config.eta_lambda
-    for t in range(config.iters):
-        Z, W, wts = monte_carlo_nodes(problem.kernel, problem.variant, config.batch, rng)
-        K = kernels.cross(problem.kernel, problem.samples.X, Z, W)
-        cert = _certify(problem, lam, K.T @ lam, wts, K.__matmul__, t)
-        record(t, cert, False)
-        lam = losses.prox(problem.loss, lam - eta * cert.yhat, problem.samples.y, eta)
-    return lam
-
-
 def fit(
     samples: SampleSet,
     kernel: KernelSpec,
@@ -261,7 +234,7 @@ def fit(
     """Maximise the dual from lambda = 0; returns (DualState, AlphaField).
 
     The state holds the iterations run (``t``) and the certificate of the
-    field on the midpoint quadrature.  A fixed seed gives a bit-identical run.
+    field on the midpoint quadrature.  Runs are bit-identical.
     """
     problem = Problem(samples, kernel, loss, variant, config.gamma)
     Z, W, wts = quadrature_nodes(kernel, variant, Quadrature(config.center_nodes, config.width_nodes))
@@ -280,14 +253,8 @@ def fit(
 
         # overflow and NaN surface as a DivergenceError, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            if config.integrator == "quadrature":
-                op = _NodeMatrix(kernel, samples.X, Z, W)
-                lam, t, cert = _accelerated_ascent(problem, op, wts, config, record)
-            else:
-                lam, t = _prox_sgd(problem, config, record), config.iters
-                op = _NodeMatrix(kernel, samples.X, Z, W)
-                cert = _certify(problem, lam, op.rmatvec(lam), wts, op.matvec, t)
-                record(t, cert, True)
+            op = _NodeMatrix(kernel, samples.X, Z, W)
+            lam, t, cert = _accelerated_ascent(problem, op, wts, config, record)
     converged = cert.rel_gap <= config.tol and cert.max_c <= config.tol
     state = DualState(lam, t, g_trace, converged, *cert[:4])
     return state, AlphaField(samples, lam, config.gamma, kernel, variant)

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from sparsekern import cli, gen_mixed_gauss
+from sparsekern import SampleSet, cli, gen_mixed_gauss
 from sparsekern.datasets import save_csv
 
-FIT_FLAGS = ["--gamma", "0.2", "--eta-lambda", "1e-3", "--eta-mu", "0.01", "--iters", "5"]
+FIT_FLAGS = ["--gamma", "0.2", "--iters", "5"]
+# parsed and ignored: the benchmark still passes them
+IGNORED_FLAGS = ["--eta-lambda", "1e-3", "--eta-mu", "0.01", "--integrator", "quadrature"]
 
 
 @pytest.fixture
@@ -65,7 +67,7 @@ def test_malformed_config_exits_2(doc, train_csv, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     out = str(tmp_path / "m.json")
-    argv = ["fit", train_csv, *FIT_FLAGS[:6], "--config", str(config), "--out", out]
+    argv = ["fit", train_csv, *FIT_FLAGS[:2], "--config", str(config), "--out", out]
     assert fails_with_one_error_line(argv, capsys)
 
 
@@ -82,9 +84,10 @@ def test_eval_accuracy_metric_is_rejected(train_csv, tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("key", ["iter", "eta_mu"])
+@pytest.mark.parametrize("key", ["iter", "eta_mu", "integrator", "eta_lambda", "batch", "seed"])
 def test_unknown_or_retired_solver_key_exits_2(key, train_csv, tmp_path, capsys):
-    # a typo and a setting of the retired supergradient method are refused, not ignored
+    # a typo and the settings of the retired supergradient and Monte Carlo
+    # methods are refused, not ignored
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"solver": {key: 10}}))
     out = str(tmp_path / "m.json")
@@ -96,7 +99,7 @@ def test_unknown_or_retired_solver_key_exits_2(key, train_csv, tmp_path, capsys)
 
 def test_fit_prints_a_convergence_summary_and_writes_the_trace(train_csv, tmp_path, capsys):
     out = str(tmp_path / "model.json")
-    argv = ["fit", train_csv, *FIT_FLAGS[:6], "--iters", "400", "--integrator", "quadrature"]
+    argv = ["fit", train_csv, *FIT_FLAGS[:2], "--iters", "400", *IGNORED_FLAGS]
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"solver": {"center_nodes": 64, "width_nodes": 16, "tol": 1e-2}}))
     assert cli.main([*argv, "--config", str(config), "--out", out]) == 0
@@ -111,7 +114,38 @@ def test_fit_prints_a_convergence_summary_and_writes_the_trace(train_csv, tmp_pa
     assert trace[0] == "t,g,rel_gap,max_violation,support_fraction"
     last = [float(v) for v in trace[-1].split(",")]
     assert last[0] == int(lines["iterations"]) and last[2] == float(lines["rel_gap"])
-    # the Monte Carlo default runs to its cap and says so
+    # the default certified path stops at its cap, uncertified, and says so
     assert cli.main(["fit", train_csv, *FIT_FLAGS, "--out", out]) == 0
     lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.strip().splitlines())
-    assert lines["iterations"] == "5" and lines["converged"] in ("yes", "no")
+    assert lines["iterations"] == "5" and lines["converged"] == "no"
+    assert max(float(lines["rel_gap"]), float(lines["max_constraint_violation"])) > 1e-3
+
+
+def test_fit_needs_no_step_size_and_certifies_before_its_cap(train_csv, tmp_path, capsys):
+    out = str(tmp_path / "model.json")
+    assert cli.main(["fit", train_csv, "--gamma", "0.2", "--iters", "500", "--out", out]) == 0
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.strip().splitlines())
+    assert lines["converged"] == "yes" and 0 < int(lines["iterations"]) < 500
+    assert float(lines["rel_gap"]) <= 1e-3 and float(lines["max_constraint_violation"]) <= 1e-3
+
+
+def test_ignored_flags_change_nothing_and_mc_is_refused(train_csv, tmp_path, capsys):
+    outs = []
+    for extra in ([], IGNORED_FLAGS):
+        out = str(tmp_path / f"model{len(extra)}.json")
+        assert cli.main(["fit", train_csv, *FIT_FLAGS, *extra, "--out", out]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", train_csv, *FIT_FLAGS, "--integrator", "mc", "--out", out])
+    assert exc.value.code == 2
+
+
+def test_fit_on_overflowing_labels_exits_3(tmp_path, capsys):
+    data, _ = gen_mixed_gauss(3, 0.453, 30, 0.03, seed=1)
+    path = tmp_path / "huge.csv"
+    save_csv(SampleSet(data.X, data.y * 1e200, data.box), path)
+    argv = ["fit", str(path), *FIT_FLAGS, "--out", str(tmp_path / "m.json")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: ")

@@ -7,7 +7,6 @@ from sparsekern import (
     AlphaField,
     DiscreteModel,
     KernelSpec,
-    MonteCarlo,
     ProblemVariant,
     Quadrature,
     SampleSet,
@@ -15,7 +14,7 @@ from sparsekern import (
     gen_remark1,
 )
 from sparsekern import kernels
-from sparsekern.dual_field import make_nodes, quadrature_nodes
+from sparsekern.dual_field import quadrature_nodes
 from sparsekern.errors import ConfigError, DomainError
 
 KERNEL = KernelSpec(w_lo=0.3, w_hi=1.8, box=np.array([[0.0, 5.0]]))
@@ -157,20 +156,6 @@ def test_scalar_optimality_against_grid():
             assert F_a <= F_grid.min() + 1e-9
 
 
-def test_predict_quadrature_vs_monte_carlo():
-    field = make_field(lam=np.array([0.5, -0.3, 0.8, 0.2, -0.6, 0.4]), gamma=0.01)
-    x = [2.2]
-    ref = field.predict(x, Quadrature(512, 128))
-    B = 200_000
-    est = field.predict(x, MonteCarlo(B, seed=11))
-    # standard error from an independent batch of pointwise values
-    Z, W, wts = make_nodes(field.kernel, field.variant, MonteCarlo(B, seed=12))
-    kx = kernels.cross(field.kernel, np.array([x]), Z, W)[0]
-    vals = field.coeff_at_nodes(Z, W) * kx * wts * B
-    se = vals.std() / np.sqrt(B)
-    assert abs(est - ref) <= 3 * se
-
-
 def test_predict_grid_refinement_converges():
     field = make_field(lam=np.array([0.5, -0.3, 0.8, 0.2, -0.6, 0.4]), gamma=0.0)
     coarse = field.predict([1.7], Quadrature(256, 64))
@@ -210,7 +195,7 @@ def test_integrator_config_errors():
     with pytest.raises(ConfigError):
         Quadrature(0, 16)
     with pytest.raises(ConfigError):
-        MonteCarlo(0)
+        Quadrature(16, 0)
 
 
 def test_field_json_round_trip_bit_identical(tmp_path):

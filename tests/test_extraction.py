@@ -58,10 +58,7 @@ def test_remark1_extraction_recovers_single_center():
     data = gen_remark1(20, 0)
     loss = Loss("quadratic_eps", 1e-3, 10.0)
     kernel = KernelSpec(w_lo=0.5, w_hi=1.5, box=np.array([[0.0, 5.0]]))
-    config = SolverConfig(
-        gamma=0.2, eta_lambda=0.3, iters=2000,
-        integrator="quadrature", center_nodes=512, width_nodes=4,
-    )
+    config = SolverConfig(gamma=0.2, iters=2000, center_nodes=512, width_nodes=4)
     state, field = fit(data, kernel, loss, ProblemVariant.fixed_width(1.0), config)
     peaks = find_peaks(field, PeakConfig(grid_centers=128, grid_widths=4))
     assert len(peaks) == 1

@@ -8,7 +8,6 @@ from sparsekern import (
     DualState,
     KernelSpec,
     Loss,
-    MonteCarlo,
     Problem,
     ProblemVariant,
     Quadrature,
@@ -21,7 +20,7 @@ from sparsekern import (
 )
 from sparsekern import kernels
 from sparsekern import losses as losses_mod
-from sparsekern.dual_field import make_nodes, quadrature_nodes
+from sparsekern.dual_field import monte_carlo_nodes, quadrature_nodes
 from sparsekern import solver as solver_mod
 from sparsekern.errors import ConfigError, DivergenceError, DomainError
 from sparsekern.models import DiscreteModel
@@ -36,10 +35,10 @@ def tiny_problem(n=4, gamma=0.3, eps=0.05, seed=0):
     return Problem(data, KERNEL, loss, ProblemVariant.full(), gamma)
 
 
-def supergradient(state, prob, integrator):
-    """y - r sign(lambda) - K (w * alpha): a supergradient of g, unbiased under Monte Carlo."""
+def supergradient(state, prob, quad=QUAD, nodes=None):
+    """y - r sign(lambda) - K (w * alpha): a supergradient of g; unbiased on Monte Carlo nodes."""
     rate = {"quadratic_eps": np.sqrt(prob.loss.epsilon), "absolute_eps": prob.loss.epsilon}
-    Z, W, wts = make_nodes(prob.kernel, prob.variant, integrator)
+    Z, W, wts = nodes or quadrature_nodes(prob.kernel, prob.variant, quad)
     K = kernels.cross(prob.kernel, prob.samples.X, Z, W)
     smooth = K.T @ state.lam
     alpha = np.where(np.abs(smooth) > np.sqrt(2.0 * prob.gamma), smooth, 0.0)
@@ -107,7 +106,8 @@ def test_monte_carlo_matches_quadrature_in_expectation():
     n_batches, B = 2000, 16
     acc = np.zeros((n_batches, 4))
     for b in range(n_batches):
-        acc[b] = supergradient(st, prob, MonteCarlo(B, seed=b))
+        nodes = monte_carlo_nodes(prob.kernel, prob.variant, B, np.random.default_rng(b))
+        acc[b] = supergradient(st, prob, nodes=nodes)
     se = acc.std(axis=0, ddof=1) / np.sqrt(n_batches)
     assert np.all(np.abs(acc.mean(axis=0) - d_ref) <= 3 * se)
 
@@ -129,10 +129,7 @@ def test_weak_duality_against_feasible_bump():
     rng = np.random.default_rng(5)
     lams = [rng.normal(0, s, 6) for s in (0.3, 1.0, 3.0) for _ in range(10)]
     # the dual optimum itself, certified on the same quadrature
-    config = SolverConfig(
-        gamma=gamma, eta_lambda=1.0, iters=500, tol=1e-4,
-        integrator="quadrature", center_nodes=256, width_nodes=64,
-    )
+    config = SolverConfig(gamma=gamma, iters=500, tol=1e-4, center_nodes=256, width_nodes=64)
     state, _ = fit(data, KERNEL, loss, ProblemVariant.full(), config)
     assert state.converged
     for lam in [*lams, state.lam]:
@@ -142,10 +139,7 @@ def test_weak_duality_against_feasible_bump():
 def test_fit_single_sample_zero_label_stays_at_zero():
     data = SampleSet(np.array([[1.0]]), np.array([0.0]), np.array([[0.0, 5.0]]))
     loss = Loss("quadratic_eps", 0.01, 10.0)
-    config = SolverConfig(
-        gamma=0.1, eta_lambda=0.05, iters=200,
-        integrator="quadrature", center_nodes=64, width_nodes=8,
-    )
+    config = SolverConfig(gamma=0.1, iters=200, center_nodes=64, width_nodes=8)
     state, field = fit(data, KERNEL, loss, ProblemVariant.full(), config)
     assert np.all(state.lam == 0.0)
     # lambda = 0 is already certified: g = P = 0 and c(0, 0) = -eps
@@ -158,10 +152,7 @@ def test_fit_remark1_reaches_feasibility():
     data = gen_remark1(20, 0)
     eps, gamma, tol = 1e-3, 0.2, 1e-3
     loss = Loss("quadratic_eps", eps, 10.0)
-    config = SolverConfig(
-        gamma=gamma, eta_lambda=0.3, iters=2000, tol=tol,
-        integrator="quadrature", center_nodes=512, width_nodes=4,
-    )
+    config = SolverConfig(gamma=gamma, iters=2000, tol=tol, center_nodes=512, width_nodes=4)
     state, field = fit(data, KERNEL, loss, ProblemVariant.fixed_width(1.0), config)
     assert state.converged and 0 < state.t < config.iters
     # the certificate recomputed here from lambda alone
@@ -183,16 +174,14 @@ def test_fit_remark1_reaches_feasibility():
 def test_fit_is_bit_deterministic_under_fixed_seed():
     data = gen_remark1(6, 8)
     loss = Loss("quadratic_eps", 0.01, 10.0)
-    for integrator in ("monte_carlo", "quadrature"):
-        config = SolverConfig(
-            gamma=0.05, eta_lambda=0.02, iters=60, tol=1e-9, center_nodes=64, width_nodes=8,
-            batch=32, seed=123, integrator=integrator, trace_every=10,
-        )
-        s1, f1 = fit(data, KERNEL, loss, ProblemVariant.full(), config)
-        s2, f2 = fit(data, KERNEL, loss, ProblemVariant.full(), config)
-        assert np.array_equal(s1.lam, s2.lam)
-        assert s1.g_trace == s2.g_trace
-        assert (s1.t, s1.rel_gap, s1.max_c) == (s2.t, s2.rel_gap, s2.max_c)
+    config = SolverConfig(
+        gamma=0.05, iters=60, tol=1e-9, center_nodes=64, width_nodes=8, trace_every=10
+    )
+    s1, f1 = fit(data, KERNEL, loss, ProblemVariant.full(), config)
+    s2, f2 = fit(data, KERNEL, loss, ProblemVariant.full(), config)
+    assert np.array_equal(s1.lam, s2.lam)
+    assert s1.g_trace == s2.g_trace
+    assert (s1.t, s1.rel_gap, s1.max_c) == (s2.t, s2.rel_gap, s2.max_c)
 
 
 def test_hinge_multipliers_stay_on_their_half_line_along_the_run():
@@ -200,30 +189,25 @@ def test_hinge_multipliers_stay_on_their_half_line_along_the_run():
     labels = SampleSet(data.X, np.where(data.y > 0.5, 1.0, -1.0), data.box)
     loss = Loss("hinge_eps", 0.05, 10.0)
     prob = Problem(labels, KERNEL, loss, ProblemVariant.full(), 0.05)
-    for integrator in ("quadrature", "monte_carlo"):
-        for iters in (1, 2, 5, 20, 80):
-            config = SolverConfig(
-                gamma=0.05, eta_lambda=0.5, iters=iters, tol=1e-9,
-                integrator=integrator, center_nodes=64, width_nodes=8,
-            )
-            state, _ = fit(labels, KERNEL, loss, ProblemVariant.full(), config)
-            assert np.all(state.lam * labels.y >= 0.0)
-            assert np.isfinite(dual_objective(state, prob, Quadrature(64, 8)))
+    for iters in (1, 2, 5, 20, 80):
+        config = SolverConfig(gamma=0.05, iters=iters, tol=1e-9, center_nodes=64, width_nodes=8)
+        state, _ = fit(labels, KERNEL, loss, ProblemVariant.full(), config)
+        assert np.all(state.lam * labels.y >= 0.0)
+        assert np.isfinite(dual_objective(state, prob, Quadrature(64, 8)))
 
 
 def test_fit_divergence_raises_with_diagnostics():
-    # prox-SGD with a huge step overflows; it raises, and leaks no RuntimeWarning
+    # labels near the float range overflow the first certificate; it raises,
+    # and leaks no RuntimeWarning
     data = gen_remark1(6, 10)
+    huge = SampleSet(data.X, data.y * 1e200, data.box)
     loss = Loss("quadratic_eps", 1e-3, 1e6)
-    config = SolverConfig(
-        gamma=0.01, eta_lambda=1e9, iters=500,
-        integrator="monte_carlo", center_nodes=64, width_nodes=8,
-    )
+    config = SolverConfig(gamma=0.01, iters=500, center_nodes=64, width_nodes=8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as err:
-            fit(data, KERNEL, loss, ProblemVariant.full(), config)
-    assert 0 < err.value.iteration < 500
+        with pytest.raises(DivergenceError, match="iteration 0") as err:
+            fit(huge, KERNEL, loss, ProblemVariant.full(), config)
+    assert err.value.iteration == 0 and err.value.lam_norm == 0.0
 
 
 def test_running_max_of_trace_is_monotone():
@@ -235,8 +219,7 @@ def test_running_max_of_trace_is_monotone():
     values = []
     for iters in range(1, 41):
         config = SolverConfig(
-            gamma=0.05, eta_lambda=0.05, iters=iters, tol=1e-12,
-            integrator="quadrature", center_nodes=64, width_nodes=8, trace_every=1,
+            gamma=0.05, iters=iters, tol=1e-12, center_nodes=64, width_nodes=8, trace_every=1
         )
         state, _ = fit(data, KERNEL, loss, ProblemVariant.full(), config)
         assert state.t == iters and not state.converged
@@ -251,8 +234,7 @@ def test_trace_file_columns(tmp_path):
     data = gen_remark1(6, 12)
     loss = Loss("quadratic_eps", 0.01, 10.0)
     config = SolverConfig(
-        gamma=0.05, eta_lambda=0.05, iters=50, tol=1e-12,
-        integrator="quadrature", center_nodes=64, width_nodes=8, trace_every=10,
+        gamma=0.05, iters=50, tol=1e-12, center_nodes=64, width_nodes=8, trace_every=10
     )
     path = tmp_path / "trace.csv"
     fit(data, KERNEL, loss, ProblemVariant.full(), config, trace_path=path)
@@ -264,24 +246,24 @@ def test_trace_file_columns(tmp_path):
 
 
 def test_solver_config_json_round_trip():
-    config = SolverConfig(gamma=1.0, eta_lambda=0.1, iters=10, tol=1e-4, seed=42)
+    config = SolverConfig(gamma=1.0, iters=10, tol=1e-4, width_nodes=12)
+    assert list(config.to_dict()) == [
+        "gamma", "iters", "tol", "center_nodes", "width_nodes", "trace_every",
+    ]
     assert SolverConfig.from_dict(config.to_dict()) == config
 
 
 def test_solver_config_validation():
     with pytest.raises(ConfigError):
-        SolverConfig(gamma=-1, eta_lambda=0.1, iters=10)
+        SolverConfig(gamma=-1, iters=10)
     with pytest.raises(ConfigError):
-        SolverConfig(gamma=1, eta_lambda=0.0, iters=10)
+        SolverConfig(gamma=1, iters=0)
     with pytest.raises(ConfigError):
-        SolverConfig(gamma=1, eta_lambda=0.1, iters=0)
-    with pytest.raises(ConfigError):
-        SolverConfig(gamma=1, eta_lambda=0.1, iters=10, tol=0.0)
-    with pytest.raises(ConfigError):
-        SolverConfig(gamma=1, eta_lambda=0.1, iters=10, integrator="simpson")
-    for key in ("iter", "eta_mu", "mu_floor", "step_decay"):
+        SolverConfig(gamma=1, iters=10, tol=0.0)
+    retired = ("eta_mu", "mu_floor", "step_decay", "integrator", "eta_lambda", "batch", "seed")
+    for key in ("iter", *retired):
         with pytest.raises(ConfigError, match=key):
-            SolverConfig.from_dict({"gamma": 1.0, "eta_lambda": 0.1, "iters": 10, key: 1})
+            SolverConfig.from_dict({"gamma": 1.0, "iters": 10, key: 1})
 
 
 def test_streamed_kernel_matrix_matches_the_held_one(monkeypatch):
@@ -305,6 +287,6 @@ def test_hinge_needs_plus_minus_one_labels():
     # phi = (1 - eps) lam y holds for labels +-1 only; 0/1 labels are refused
     data = gen_remark1(5, 14)
     labels = SampleSet(data.X, np.where(data.y > 0.5, 1.0, 0.0), data.box)
-    config = SolverConfig(gamma=0.05, eta_lambda=0.5, iters=5, integrator="quadrature")
+    config = SolverConfig(gamma=0.05, iters=5)
     with pytest.raises(DomainError, match="labels"):
         fit(labels, KERNEL, Loss("hinge_eps", 0.05, 10.0), ProblemVariant.full(), config)
