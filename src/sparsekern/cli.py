@@ -89,6 +89,11 @@ def cmd_fit(args) -> int:
     print(f"converged: {'yes' if state.converged else 'no'}")
     print(f"iterations: {state.t}")
     print(f"rel_gap: {state.rel_gap!r}")
+    if not state.converged:
+        # uncertified means the cap was hit; name each certificate test that failed
+        tests = (("rel_gap", state.rel_gap), ("max_constraint_violation", state.max_c))
+        failed = [f"{name} {val:.3g} > {config.tol:g}" for name, val in tests if val > config.tol]
+        print("stopped: " + "; ".join(["iteration cap", *failed]))
     return 0
 
 

@@ -14,9 +14,13 @@ threshold.
 gradient step on the integral, then the prox of phi, with step 1/L,
 L = ||K diag(w) K^T||.  A step from the extrapolated point that does not
 raise g restarts the momentum (O'Donoghue & Candes 2015); one from the
-iterate itself halves the step.  An iteration costs two N x G matvecs:
-yhat at the extrapolated point, whose abar is linear in the last two
-iterates, and K^T of the new iterate.  Each iteration certifies the
+iterate itself halves the step.  An iteration costs one N x G pass, K^T
+of the new iterate, plus yhat at the extrapolated point, whose abar is
+linear in the last two iterates.  yhat gathers the smaller of the support
+S and its complement when it holds at most G/4 nodes: K_S (w alpha)_S, or
+A lambda - K_Sc (w abar)_Sc with A = K diag(w) K^T, the Gram kept from the
+step size.  A support and complement both above G/4 nodes, or a K of fewer
+than 100k entries, take a second full pass.  Each iteration certifies the
 extrapolated point from vectors in hand: rel_gap = |P - g| / max(1, |P|)
 with P = integral of alpha^2 / 2 + gamma 1[alpha != 0] the primal value of
 its field, and max_i c(yhat_i, y_i) its constraint violation.  ``fit``
@@ -48,6 +52,17 @@ from .losses import Loss
 
 # above this many kernel-matrix entries, stream the grid in chunks
 _PRECOMPUTE_LIMIT = 30_000_000
+# kernels.cross builds the node-major matrix this many nodes at a time
+_BLOCK = 512
+# yhat gathers the smaller of the support and its complement when that holds
+# at most _GATHER_SHARE of the nodes and K has at least _GATHER_MIN_ENTRIES
+# entries.  Measured on one thread at N = 300, G = 3072, a gather of a random
+# fraction f of the nodes costs 0.11 of a full N x G pass at f = 5% and 0.6 of
+# it at f = 20%: the gathered rows are copied before the product.  Below 100k
+# entries a full pass takes under 30 us, and the fixed cost of a gather's few
+# numpy calls (about 10 us) is as large as what it saves.
+_GATHER_SHARE = 0.25
+_GATHER_MIN_ENTRIES = 100_000
 
 
 @dataclass(frozen=True)
@@ -119,52 +134,98 @@ class Problem:
 
 
 class _NodeMatrix:
-    """K[i, j] = k(x_i; z_j, w_j) on fixed nodes: held whole, or rebuilt in chunks."""
+    """K[i, j] = k(x_i; z_j, w_j) on fixed nodes, stored node-major: one row per node.
+
+    Held whole (``K`` is its N x G view), or rebuilt in chunks of nodes when
+    it would exceed _PRECOMPUTE_LIMIT entries (``K`` is None).  ``norm``
+    keeps the Gram A = K diag(w) K^T.  With it ``support_matvec`` gathers at
+    most G/4 nodes when the support or its complement is that small and K
+    has at least 100k entries, and makes one N x G pass otherwise.
+    """
 
     def __init__(self, kernel, X, Z, W):
         self._args = (kernel, X, Z, W)
         self._step = max(1, _PRECOMPUTE_LIMIT // X.shape[0])
-        self.K = kernels.cross(kernel, X, Z, W) if Z.shape[0] <= self._step else None
+        G = Z.shape[0]
+        self._rows = self._build(np.arange(G)) if G <= self._step else None
+        self.K = None if self._rows is None else self._rows.T
+        self._gram = None
+
+    def _build(self, nodes):
+        """The rows K[:, nodes]^T, from kernels.cross on at most _BLOCK nodes at a time."""
+        kernel, X, Z, W = self._args
+        rows = np.empty((len(nodes), X.shape[0]))
+        for j in range(0, len(nodes), _BLOCK):
+            part = nodes[j : j + _BLOCK]
+            rows[j : j + _BLOCK] = kernels.cross(kernel, X, Z[part], W[part]).T
+        return rows
 
     def _chunks(self):
-        if self.K is not None:
-            return [(slice(None), self.K)]
-        kernel, X, Z, W = self._args
-        parts = [slice(s, s + self._step) for s in range(0, Z.shape[0], self._step)]
-        return ((part, kernels.cross(kernel, X, Z[part], W[part])) for part in parts)
+        if self._rows is not None:
+            return [(slice(None), self._rows)]
+        G = self._args[2].shape[0]
+        parts = [np.arange(s, min(s + self._step, G)) for s in range(0, G, self._step)]
+        return ((part, self._build(part)) for part in parts)
 
     def rmatvec(self, lam):
         """K^T lam: the smooth surface abar at the nodes."""
-        parts = [Kc.T @ lam for _, Kc in self._chunks()]
+        parts = [rows @ lam for _, rows in self._chunks()]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def matvec(self, v):
-        return sum(Kc @ v[part] for part, Kc in self._chunks())
+        if self.K is not None:
+            return self.K @ v
+        return sum(rows.T @ v[part] for part, rows in self._chunks())
 
     def norm(self, wts) -> float:
-        """||K diag(w) K^T||: sums B B^T over small column blocks B of K diag(sqrt(w))."""
+        """||K diag(w) K^T||: sums B^T B over blocks B of diag(sqrt(w)) K^T; keeps the sum."""
         gram = 0.0
-        for part, Kc in self._chunks():
-            for j in range(0, Kc.shape[1], 512):
-                B = Kc[:, j : j + 512] * np.sqrt(wts[part][j : j + 512])
-                gram = gram + B @ B.T
+        for part, rows in self._chunks():
+            root = np.sqrt(wts[part])[:, None]
+            for j in range(0, rows.shape[0], _BLOCK):
+                B = rows[j : j + _BLOCK] * root[j : j + _BLOCK]
+                gram = gram + B.T @ B
+        self._gram = gram
         return float(np.linalg.eigvalsh(gram)[-1])
+
+    def support_matvec(self, lam, ws, on):
+        """K (ws * on) for ws = w * (K^T lam), after ``norm(w)``.
+
+        Gathers the smaller of the support S = ``on`` and its complement
+        when it has at most _GATHER_SHARE * G nodes and K at least
+        _GATHER_MIN_ENTRIES entries: K_S ws_S, or A lam - K_Sc ws_Sc.
+        Otherwise one full pass.
+        """
+        if len(lam) * on.size < _GATHER_MIN_ENTRIES:
+            return self.matvec(ws * on)
+        n_on = np.count_nonzero(on)
+        if min(n_on, on.size - n_on) > _GATHER_SHARE * on.size:
+            return self.matvec(ws * on)
+        use_support = 2 * n_on <= on.size
+        nodes = np.flatnonzero(on if use_support else ~on)
+        if self._rows is not None:
+            part = ws[nodes] @ self._rows[nodes]
+        else:  # only the gathered nodes go through kernels.cross
+            chunks = [nodes[j : j + self._step] for j in range(0, len(nodes), self._step)]
+            part = sum((ws[c] @ self._build(c) for c in chunks), np.zeros(len(lam)))
+        return part if use_support else self._gram @ lam - part
 
 
 # g, P, rel_gap, max_i c(yhat_i, y_i), alpha's support mask, yhat = K (w * alpha)
 _Certificate = namedtuple("_Certificate", "g primal rel_gap max_c on yhat")
 
 
-def _certify(problem, lam, smooth, wts, matvec, t):
+def _certify(problem, lam, smooth, wts, op, t):
     """The certificate of lambda, whose abar at the nodes is ``smooth``."""
     gamma = problem.gamma
     on = np.abs(smooth) > np.sqrt(2.0 * gamma)
-    wa = wts * smooth * on
+    ws = wts * smooth
+    wa = ws * on
     sq = float(wa @ smooth)
     mass = float(wts @ on)
     g = losses.phi(problem.loss, lam, problem.samples.y) + gamma * mass - 0.5 * sq
     primal = gamma * mass + 0.5 * sq
-    yhat = matvec(wa)
+    yhat = op.support_matvec(lam, ws, on)
     max_c = float(np.max(losses.value(problem.loss, yhat, problem.samples.y)))
     rel_gap = abs(primal - g) / max(1.0, abs(primal))
     # g = -inf is no failure: an extrapolated point may leave hinge's half-line
@@ -200,7 +261,7 @@ def _accelerated_ascent(problem, op, wts, config, record):
         # the extrapolated point and its abar, by linearity
         lam = x + beta * (x - x_prev) if beta else x
         smooth = s + beta * (s - s_prev) if beta else s
-        cert = _certify(problem, lam, smooth, wts, op.matvec, t)
+        cert = _certify(problem, lam, smooth, wts, op, t)
         done = (cert.rel_gap <= config.tol and cert.max_c <= config.tol) or t == config.iters
         record(t, cert, done)
         if done:

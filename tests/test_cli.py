@@ -121,6 +121,21 @@ def test_fit_prints_a_convergence_summary_and_writes_the_trace(train_csv, tmp_pa
     assert max(float(lines["rel_gap"]), float(lines["max_constraint_violation"])) > 1e-3
 
 
+def test_uncertified_fit_names_each_failed_test(train_csv, tmp_path, capsys):
+    out = str(tmp_path / "model.json")
+    assert cli.main(["fit", train_csv, *FIT_FLAGS, "--out", out]) == 0
+    printed = capsys.readouterr().out.strip().splitlines()
+    assert len(printed) == 7 and printed[-1].startswith("stopped: iteration cap")
+    lines = dict(line.split(": ", 1) for line in printed)
+    reasons = lines["stopped"].split("; ")
+    failed = {name for name in ("rel_gap", "max_constraint_violation") if float(lines[name]) > 1e-3}
+    assert failed and {r.split()[0] for r in reasons[1:]} == failed
+    for reason in reasons[1:]:
+        name, value, gt, tol = reason.split()
+        assert gt == ">" and float(tol) == 1e-3
+        assert float(value) == pytest.approx(float(lines[name]), rel=1e-2)
+
+
 def test_fit_needs_no_step_size_and_certifies_before_its_cap(train_csv, tmp_path, capsys):
     out = str(tmp_path / "model.json")
     assert cli.main(["fit", train_csv, "--gamma", "0.2", "--iters", "500", "--out", out]) == 0

@@ -274,13 +274,32 @@ def test_streamed_kernel_matrix_matches_the_held_one(monkeypatch):
     # at most 7 * 45 entries per chunk: 8 chunks of the 320 nodes
     monkeypatch.setattr(solver_mod, "_PRECOMPUTE_LIMIT", 7 * 45)
     streamed = solver_mod._NodeMatrix(KERNEL, data.X, Z, W)
+    # gather even at this size, which a full pass would otherwise serve
+    monkeypatch.setattr(solver_mod, "_GATHER_MIN_ENTRIES", 0)
     assert held.K is not None and streamed.K is None
     lam, v = np.linspace(-1.0, 1.0, 7), np.cos(np.arange(320.0))
+    # a multiplier of norm 1e4, on all but the 60 nodes where its |abar| is least
+    big = np.cos(3.0 * np.arange(7.0))
+    big *= 1e4 / np.linalg.norm(big)
+    on_most = np.ones(320, dtype=bool)
+    on_most[np.argsort(np.abs(K.T @ big))[:60]] = False
     for op in (held, streamed):
         assert np.allclose(op.rmatvec(lam), K.T @ lam, rtol=1e-13, atol=1e-13)
         assert np.allclose(op.matvec(v), K @ v, rtol=1e-13, atol=1e-13)
         # the step 1/L rests on the exact spectral norm of K diag(w) K^T
         assert op.norm(wts) == pytest.approx(np.linalg.norm((K * wts) @ K.T, 2), rel=1e-12)
+        # yhat = K (w s 1_S): gathered support, full pass, gathered complement
+        ws = wts * (K.T @ lam)
+        for size in (0, 50, 80, 160, 240, 270, 320):
+            on = np.zeros(320, dtype=bool)
+            on[np.random.default_rng(size).permutation(320)[:size]] = True
+            want = K @ (ws * on)
+            assert np.allclose(op.support_matvec(lam, ws, on), want, rtol=1e-12, atol=1e-12)
+        # the complement form subtracts from A lam: its error grows with ||A|| ||lam||
+        ws_big = wts * (K.T @ big)
+        want = K @ (ws_big * on_most)
+        err = np.linalg.norm(op.support_matvec(big, ws_big, on_most) - want)
+        assert err <= 1e-9 * np.linalg.norm(want)
 
 
 def test_hinge_needs_plus_minus_one_labels():
