@@ -93,6 +93,15 @@ def cmd_fit(args) -> int:
         # uncertified means the cap was hit; name each certificate test that failed
         tests = (("rel_gap", state.rel_gap), ("max_constraint_violation", state.max_c))
         failed = [f"{name} {val:.3g} > {config.tol:g}" for name, val in tests if val > config.tol]
+        # every constraint met, yet g rose by more than tol over the last
+        # traced stretch: what a fit whose constraints are too tight for
+        # epsilon shows (g grows about as t^2 there)
+        (_, g_prev), (_, g_last) = state.g_trace[-2:]
+        if state.max_c <= config.tol and g_last - g_prev > config.tol * max(1.0, abs(g_last)):
+            failed.append(
+                "g still rising with the violation met; "
+                "the constraints may be too tight for epsilon"
+            )
         print("stopped: " + "; ".join(["iteration cap", *failed]))
     return 0
 

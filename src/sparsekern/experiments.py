@@ -81,7 +81,7 @@ def _fit_loss(train) -> Loss:
 
 REMARK1_KERNEL = KernelSpec(w_lo=0.5, w_hi=1.5, box=np.array([[0.0, 5.0]]))
 REMARK1_CONFIG = SolverConfig(
-    gamma=0.2, iters=2_000, center_nodes=1024, width_nodes=8, trace_every=10_000
+    gamma=0.2, iters=2_000, center_nodes=1024, width_nodes=8, trace_every=500
 )
 REMARK1_LOSS = Loss(kind="quadratic_eps", epsilon=1e-3, clamp_radius=10.0)
 

@@ -20,11 +20,14 @@ linear in the last two iterates.  yhat gathers the smaller of the support
 S and its complement when it holds at most G/4 nodes: K_S (w alpha)_S, or
 A lambda - K_Sc (w abar)_Sc with A = K diag(w) K^T, the Gram kept from the
 step size.  A support and complement both above G/4 nodes, or a K of fewer
-than 100k entries, take a second full pass.  Each iteration certifies the
-extrapolated point from vectors in hand: rel_gap = |P - g| / max(1, |P|)
-with P = integral of alpha^2 / 2 + gamma 1[alpha != 0] the primal value of
-its field, and max_i c(yhat_i, y_i) its constraint violation.  ``fit``
-stops when both are at most ``tol``; ``iters`` is a cap.
+than 100k entries, take a second full pass.  A held K whose numerical
+rank r is far below N is factored once (``_NodeMatrix``), and every
+product then runs on an r-dimensional basis: O((N + G) r) per step in
+place of O(N G).  Each iteration certifies the extrapolated point from
+vectors in hand: rel_gap = |P - g| / max(1, |P|) with P = integral of
+alpha^2 / 2 + gamma 1[alpha != 0] the primal value of its field, and
+max_i c(yhat_i, y_i) its constraint violation.  ``fit`` stops when both
+are at most ``tol``; ``iters`` is a cap.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ _BLOCK = 512
 # numpy calls (about 10 us) is as large as what it saves.
 _GATHER_SHARE = 0.25
 _GATHER_MIN_ENTRIES = 100_000
+_EPS = np.finfo(float).eps
+# the sketch of a low-rank K and the check of its factor take this many nodes
+# at a time
+_CHECK_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -136,11 +143,33 @@ class Problem:
 class _NodeMatrix:
     """K[i, j] = k(x_i; z_j, w_j) on fixed nodes, stored node-major: one row per node.
 
-    Held whole (``K`` is its N x G view), or rebuilt in chunks of nodes when
-    it would exceed _PRECOMPUTE_LIMIT entries (``K`` is None).  ``norm``
+    Held whole (``_rows`` is K^T, G x N), or rebuilt in chunks of nodes when
+    it would exceed _PRECOMPUTE_LIMIT entries (``_rows`` is None).  ``norm``
     keeps the Gram A = K diag(w) K^T.  With it ``support_matvec`` gathers at
     most G/4 nodes when the support or its complement is that small and K
     has at least 100k entries, and makes one N x G pass otherwise.
+
+    A held K of low numerical rank is factored by ``norm``: K^T = M P, with
+    P (r x N) of orthonormal rows and M = K^T P^T (G x r), whose rows take
+    the place of K's, and K is released.  A step then costs O((N + G) r):
+    abar = M (P lam), and yhat = P^T (.) from the same gathers on M's
+    r-wide rows, with the r x r C = M^T diag(w) M in place of A;
+    ||A|| = ||C|| since P has orthonormal rows.
+
+    The rule costs nothing: with r8 the count of A's eigenvalues above eps
+    times the largest, which ``norm`` computes anyway, K is factored when
+    4 r8 (N + G) <= N G, that is when twice r8 is at most the break-even
+    rank k = N G / (2 (N + G)).  Seed-0 rep 0 of each desk study stays
+    dense (r8 vs k): remark1 13 vs 9, komp_sparsity 15 vs 9, grid_vs_pii2
+    49 vs 48, pii_full 49 vs 49, sample_stability n = 51/101/201 51/94/96
+    vs 25/49/98.  The cli_fit problem (N = 300, G = 96 x 32) has r8 = 50-51
+    against k = 136, and is factored.
+
+    The factor is kept only if max|K^T - M P| <= N eps entrywise: that is
+    the worst-case rounding of the dense products it replaces, so abar and
+    yhat stay as accurate as a full pass.  On cli_fit that takes r = 77-78,
+    the rank where the sketch's singular values fall below eps times the
+    largest (seeds 1 and 41-43).
     """
 
     def __init__(self, kernel, X, Z, W):
@@ -148,7 +177,7 @@ class _NodeMatrix:
         self._step = max(1, _PRECOMPUTE_LIMIT // X.shape[0])
         G = Z.shape[0]
         self._rows = self._build(np.arange(G)) if G <= self._step else None
-        self.K = None if self._rows is None else self._rows.T
+        self._basis = None  # P, once factored
         self._gram = None
 
     def _build(self, nodes):
@@ -167,33 +196,85 @@ class _NodeMatrix:
         parts = [np.arange(s, min(s + self._step, G)) for s in range(0, G, self._step)]
         return ((part, self._build(part)) for part in parts)
 
+    def _coords(self, lam):
+        """P lam once factored, else lam."""
+        return lam if self._basis is None else self._basis @ lam
+
+    def _lift(self, u):
+        """P^T u once factored, else u."""
+        return u if self._basis is None else u @ self._basis
+
     def rmatvec(self, lam):
         """K^T lam: the smooth surface abar at the nodes."""
+        lam = self._coords(lam)
         parts = [rows @ lam for _, rows in self._chunks()]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def matvec(self, v):
-        if self.K is not None:
-            return self.K @ v
+        if self._rows is not None:
+            return self._lift(self._rows.T @ v)
         return sum(rows.T @ v[part] for part, rows in self._chunks())
 
     def norm(self, wts) -> float:
-        """||K diag(w) K^T||: sums B^T B over blocks B of diag(sqrt(w)) K^T; keeps the sum."""
+        """||K diag(w) K^T||: sums B^T B over blocks B of diag(sqrt(w)) K^T; keeps the sum.
+
+        A held K whose Gram has few eigenvalues above eps times the largest
+        is factored first, and the sum is then C = M^T diag(w) M.
+        """
         gram = 0.0
         for part, rows in self._chunks():
             root = np.sqrt(wts[part])[:, None]
             for j in range(0, rows.shape[0], _BLOCK):
                 B = rows[j : j + _BLOCK] * root[j : j + _BLOCK]
                 gram = gram + B.T @ B
+        eigs = np.linalg.eigvalsh(gram)
+        if self._rows is not None and self._basis is None:
+            G, N = self._rows.shape
+            rank = np.count_nonzero(eigs > _EPS * eigs[-1])
+            if rank and 4 * rank * (N + G) <= N * G and self._factor():
+                return self.norm(wts)
         self._gram = gram
-        return float(np.linalg.eigvalsh(gram)[-1])
+        return float(eigs[-1])
+
+    def _factor(self) -> bool:
+        """Replace the held K^T by M P; returns whether it did.
+
+        P spans a Gaussian sketch K Omega^T of K's column space, with Omega
+        k x G and k = N G / (2 (N + G)).  r starts at the number of
+        the sketch's singular values above eps times the largest, and grows
+        until max|K^T - M P| <= N eps, checked on _CHECK_BLOCK nodes at a
+        time, so no N x G temporary is formed.  K stays when no r below k
+        passes.
+        """
+        Kt = self._rows
+        G, N = Kt.shape
+        k = N * G // (2 * (N + G))
+        rng = np.random.default_rng(0)  # a fixed sketch: runs stay bit-identical
+        sketch = np.zeros((N, k))
+        for j in range(0, G, _CHECK_BLOCK):
+            block = Kt[j : j + _CHECK_BLOCK]
+            sketch += block.T @ rng.standard_normal((block.shape[0], k))
+        U, sv, _ = np.linalg.svd(sketch, full_matrices=False)
+        for r in range(int(np.count_nonzero(sv > _EPS * sv[0])), k):
+            basis = np.ascontiguousarray(U[:, :r].T)
+            M = np.empty((G, r))
+            for j in range(0, G, _CHECK_BLOCK):
+                block = Kt[j : j + _CHECK_BLOCK]
+                M[j : j + _CHECK_BLOCK] = block @ basis.T
+                if np.max(np.abs(block - M[j : j + _CHECK_BLOCK] @ basis)) > N * _EPS:
+                    break
+            else:
+                self._rows, self._basis = M, basis
+                return True
+        return False
 
     def support_matvec(self, lam, ws, on):
         """K (ws * on) for ws = w * (K^T lam), after ``norm(w)``.
 
         Gathers the smaller of the support S = ``on`` and its complement
         when it has at most _GATHER_SHARE * G nodes and K at least
-        _GATHER_MIN_ENTRIES entries: K_S ws_S, or A lam - K_Sc ws_Sc.
+        _GATHER_MIN_ENTRIES entries: K_S ws_S, or A lam - K_Sc ws_Sc
+        (factored: P^T (M_S^T ws_S), or P^T (C P lam - M_Sc^T ws_Sc)).
         Otherwise one full pass.
         """
         if len(lam) * on.size < _GATHER_MIN_ENTRIES:
@@ -208,7 +289,7 @@ class _NodeMatrix:
         else:  # only the gathered nodes go through kernels.cross
             chunks = [nodes[j : j + self._step] for j in range(0, len(nodes), self._step)]
             part = sum((ws[c] @ self._build(c) for c in chunks), np.zeros(len(lam)))
-        return part if use_support else self._gram @ lam - part
+        return self._lift(part if use_support else self._gram @ self._coords(lam) - part)
 
 
 # g, P, rel_gap, max_i c(yhat_i, y_i), alpha's support mask, yhat = K (w * alpha)

@@ -136,6 +136,24 @@ def test_uncertified_fit_names_each_failed_test(train_csv, tmp_path, capsys):
         assert float(value) == pytest.approx(float(lines[name]), rel=1e-2)
 
 
+def test_uncertified_fit_with_the_violation_met_says_g_still_rises(train_csv, tmp_path, capsys):
+    # epsilon 1e-5 is far below the fixture's noise variance 9e-4: the
+    # violation is met, and g keeps climbing while rel_gap fails
+    out = str(tmp_path / "model.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"solver": {"center_nodes": 64, "width_nodes": 16}}))
+    argv = ["fit", train_csv, "--gamma", "0.2", "--iters", "400", "--epsilon", "1e-5"]
+    assert cli.main([*argv, "--config", str(config), "--out", out]) == 0
+    printed = capsys.readouterr().out.strip().splitlines()
+    assert len(printed) == 7
+    lines = dict(line.split(": ", 1) for line in printed)
+    assert float(lines["max_constraint_violation"]) <= 1e-3 < float(lines["rel_gap"])
+    assert lines["stopped"].startswith("iteration cap; rel_gap ")
+    assert lines["stopped"].endswith(
+        "; g still rising with the violation met; the constraints may be too tight for epsilon"
+    )
+
+
 def test_fit_needs_no_step_size_and_certifies_before_its_cap(train_csv, tmp_path, capsys):
     out = str(tmp_path / "model.json")
     assert cli.main(["fit", train_csv, "--gamma", "0.2", "--iters", "500", "--out", out]) == 0

@@ -16,7 +16,9 @@ from sparsekern import (
     bump_field,
     dual_objective,
     fit,
+    gen_mixed_gauss,
     gen_remark1,
+    gen_sin_squared,
 )
 from sparsekern import kernels
 from sparsekern import losses as losses_mod
@@ -276,7 +278,7 @@ def test_streamed_kernel_matrix_matches_the_held_one(monkeypatch):
     streamed = solver_mod._NodeMatrix(KERNEL, data.X, Z, W)
     # gather even at this size, which a full pass would otherwise serve
     monkeypatch.setattr(solver_mod, "_GATHER_MIN_ENTRIES", 0)
-    assert held.K is not None and streamed.K is None
+    assert held._rows is not None and streamed._rows is None
     lam, v = np.linspace(-1.0, 1.0, 7), np.cos(np.arange(320.0))
     # a multiplier of norm 1e4, on all but the 60 nodes where its |abar| is least
     big = np.cos(3.0 * np.arange(7.0))
@@ -309,3 +311,116 @@ def test_hinge_needs_plus_minus_one_labels():
     config = SolverConfig(gamma=0.05, iters=5)
     with pytest.raises(DomainError, match="labels"):
         fit(labels, KERNEL, Loss("hinge_eps", 0.05, 10.0), ProblemVariant.full(), config)
+
+
+EPS = np.finfo(float).eps
+
+
+def cli_fit_operator(seed):
+    """The 300-point, 96 x 32 problem of the cli_fit benchmark: (op after norm, K, wts, L)."""
+    data, _ = gen_mixed_gauss(10, 0.453, 300, np.sqrt(1e-3), seed)
+    kernel = KernelSpec(w_lo=0.1, w_hi=1.0, box=data.box)
+    Z, W, wts = quadrature_nodes(kernel, ProblemVariant.full(), Quadrature(96, 32))
+    op = solver_mod._NodeMatrix(kernel, data.X, Z, W)
+    K = kernels.cross(kernel, data.X, Z, W)
+    return op, K, wts, op.norm(wts)
+
+
+def test_factored_products_match_the_dense_ones_within_rounding():
+    op, K, wts, L = cli_fit_operator(1)
+    N, G = K.shape
+    assert op._basis is not None and op._rows.shape[1] < N
+    # ||K diag(w) K^T|| = ||M^T diag(w) M||: P has orthonormal rows
+    assert L == pytest.approx(np.linalg.norm((K * wts) @ K.T, 2), rel=1e-12)
+    rng = np.random.default_rng(0)
+    lam, v = rng.normal(0.0, 1.0, N), rng.normal(0.0, 1.0, G)
+    bound = N * EPS
+    assert np.all(np.abs(op.rmatvec(lam) - K.T @ lam) <= bound * (np.abs(K.T) @ np.abs(lam)))
+    assert np.all(np.abs(op.matvec(v) - K @ v) <= bound * (np.abs(K) @ np.abs(v)))
+    # yhat = K (w s 1_S): gathered support, full pass, gathered complement
+    ws = wts * (K.T @ lam)
+    for share in (0.0, 0.05, 0.2, 0.5, 0.8, 1.0):
+        on = np.zeros(G, dtype=bool)
+        on[rng.permutation(G)[: round(share * G)]] = True
+        got = op.support_matvec(lam, ws, on)
+        assert np.all(np.abs(got - K @ (ws * on)) <= bound * (np.abs(K) @ np.abs(ws * on)))
+
+
+@pytest.mark.parametrize("seed", [1, 41, 42, 43])
+def test_factor_meets_its_entrywise_bound(seed):
+    op, K, _, _ = cli_fit_operator(seed)
+    N, G = K.shape
+    M, P = op._rows, op._basis
+    assert P is not None and M.shape[1] == P.shape[0] < N * G // (2 * (N + G))
+    assert np.max(np.abs(P @ P.T - np.eye(P.shape[0]))) <= N * EPS
+    assert np.max(np.abs(K.T - M @ P)) <= N * EPS
+
+
+def test_factor_grows_its_rank_until_the_bound_holds(monkeypatch):
+    # a sketch whose singular values under-count K's rank starts r at 40
+    svd = np.linalg.svd
+
+    def short_svd(a, **kw):
+        U, s, Vt = svd(a, **kw)
+        return U, np.where(np.arange(s.size) < 40, s, 0.0), Vt
+
+    monkeypatch.setattr(np.linalg, "svd", short_svd)
+    op, K, _, _ = cli_fit_operator(1)
+    N = K.shape[0]
+    assert op._basis is not None and 40 < op._basis.shape[0]
+    assert np.max(np.abs(K.T - op._rows @ op._basis)) <= N * EPS
+
+
+def _desk_problems():
+    """Rep 0 of every desk study: (name, samples, kernel, variant, config)."""
+    from sparsekern import experiments as ex
+
+    remark1 = ProblemVariant.fixed_width(1.0)
+    yield "remark1", gen_remark1(20, 0), ex.REMARK1_KERNEL, remark1, ex.REMARK1_CONFIG
+    train, _ = ex._mixed_gauss_draw(0, 100, 500)
+    pii2 = ProblemVariant.fixed_centers(train.X)
+    yield "grid_vs_pii2", train, ex.MIXED_KERNEL, pii2, ex.PII2_CONFIG
+    yield "pii_full", train, ex.MIXED_KERNEL, ProblemVariant.full(), ex.PII_FULL_CONFIG
+    train, _ = gen_mixed_gauss(5, 0.5, 20, ex.MIXED_NOISE_SD, 0)
+    komp = ProblemVariant.fixed_width(0.5)
+    yield "komp_sparsity", train, ex.KOMP_KERNEL, komp, ex.KOMP_SPARSITY_CONFIG
+    for n in (51, 101, 201):
+        train = gen_sin_squared(n, ex.SIN_NOISE_SD, 0, grid=True)
+        yield f"sample_stability n={n}", train, ex.SIN_KERNEL, ProblemVariant.full(), ex.SIN_CONFIG
+
+
+def test_factoring_rule_keeps_the_desk_studies_dense_and_factors_cli_fit():
+    for name, train, kernel, variant, config in _desk_problems():
+        quad = Quadrature(config.center_nodes, config.width_nodes)
+        Z, W, wts = quadrature_nodes(kernel, variant, quad)
+        op = solver_mod._NodeMatrix(kernel, train.X, Z, W)
+        op.norm(wts)
+        assert op._basis is None and op._rows.shape == (Z.shape[0], train.n), name
+    assert cli_fit_operator(1)[0]._basis is not None
+
+
+def test_factored_fit_certificate_matches_a_dense_recomputation(monkeypatch):
+    factored = []
+    factor = solver_mod._NodeMatrix._factor
+
+    def recorded(op):
+        factored.append(factor(op))
+        return factored[-1]
+
+    monkeypatch.setattr(solver_mod._NodeMatrix, "_factor", recorded)
+    data, _ = gen_mixed_gauss(10, 0.453, 300, np.sqrt(1e-3), 1)
+    kernel = KernelSpec(w_lo=0.1, w_hi=1.0, box=data.box)
+    loss = losses_mod.default_loss("quadratic_eps", data.y)
+    config = SolverConfig(gamma=0.2, iters=200, center_nodes=96, width_nodes=32)
+    state, _ = fit(data, kernel, loss, ProblemVariant.full(), config)
+    assert factored == [True] and state.t == 200
+    Z, W, wts = quadrature_nodes(kernel, ProblemVariant.full(), Quadrature(96, 32))
+    K = kernels.cross(kernel, data.X, Z, W)
+    smooth = K.T @ state.lam
+    alpha = np.where(np.abs(smooth) > np.sqrt(2 * config.gamma), smooth, 0.0)
+    g = losses_mod.phi(loss, state.lam, data.y)
+    g += wts @ np.minimum(0.0, config.gamma - smooth**2 / 2)
+    primal = wts @ (alpha**2 / 2 + config.gamma * (alpha != 0))
+    max_c = np.max(losses_mod.value(loss, K @ (wts * alpha), data.y))
+    assert state.rel_gap == pytest.approx(abs(primal - g) / max(1.0, abs(primal)), rel=1e-9)
+    assert state.max_c == pytest.approx(max_c, rel=1e-9)
