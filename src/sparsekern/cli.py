@@ -13,12 +13,13 @@ import sys
 import numpy as np
 
 from . import datasets, extraction, losses, solver
+from .documents import load_json
 from .dual_field import ProblemVariant
 from .errors import ConfigError, DivergenceError, DomainError
 from .experiments import EXPERIMENT_IDS, run_experiment
 from .kernels import KernelSpec
 from .losses import Loss
-from .models import DiscreteModel, load_json
+from .models import DiscreteModel
 from .solver import SolverConfig
 
 LOSS_NAMES = {"quad": "quadratic_eps", "abs": "absolute_eps", "hinge": "hinge_eps"}
@@ -42,7 +43,8 @@ def _parse_variant(text: str) -> ProblemVariant:
 
 def _load_config(path, args, data) -> tuple[SolverConfig, KernelSpec, Loss]:
     doc = load_json(path) if path is not None else {}
-    if not isinstance(doc, dict) or not isinstance(doc.get("solver", {}), dict):
+    sections = ("solver", "kernel", "loss")
+    if not isinstance(doc, dict) or any(not isinstance(doc.get(s, {}), dict) for s in sections):
         raise ConfigError(f"{path}: expected a JSON object with solver/kernel/loss sections")
     solver_doc = dict(doc.get("solver", {}))
     overrides = {"gamma": args.gamma, "iters": args.iters}

@@ -10,12 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .documents import Document
 from .errors import ConfigError, DomainError
 from .models import DiscreteModel
 
 
 @dataclass(frozen=True, eq=False)
-class SampleSet:
+class SampleSet(Document):
     """Observations X (N x p), labels y (N,), and the domain box (p x 2)."""
 
     X: np.ndarray
@@ -53,17 +54,6 @@ class SampleSet:
     def subset(self, idx) -> "SampleSet":
         idx = np.asarray(idx)
         return SampleSet(self.X[idx], self.y[idx], self.box)
-
-    def to_dict(self) -> dict:
-        return {"X": self.X.tolist(), "y": self.y.tolist(), "box": self.box.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SampleSet":
-        return cls(
-            np.asarray(d["X"], dtype=float),
-            np.asarray(d["y"], dtype=float),
-            np.asarray(d["box"], dtype=float),
-        )
 
 
 def gen_mixed_gauss(

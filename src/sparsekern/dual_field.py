@@ -20,15 +20,16 @@ import numpy as np
 
 from . import kernels
 from .datasets import SampleSet
+from .documents import Document, load_json, save_json
 from .errors import ConfigError, DomainError
 from .kernels import KernelSpec
-from .models import DiscreteModel, load_json, save_json
+from .models import DiscreteModel
 
 VARIANT_KINDS = ("full", "fixed_width", "fixed_centers")
 
 
 @dataclass(frozen=True, eq=False)
-class ProblemVariant:
+class ProblemVariant(Document):
     kind: str
     w0: float | None = None
     centers: np.ndarray | None = None
@@ -67,23 +68,6 @@ class ProblemVariant:
             for z in self.centers:
                 if not kernel.contains_center(z):
                     raise DomainError("a candidate center lies outside the box")
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "fixed_width":
-            d["w0"] = self.w0
-        if self.kind == "fixed_centers":
-            d["centers"] = self.centers.tolist()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProblemVariant":
-        kind = d["kind"]
-        if kind == "fixed_width":
-            return cls.fixed_width(d["w0"])
-        if kind == "fixed_centers":
-            return cls.fixed_centers(np.asarray(d["centers"], dtype=float))
-        return cls.full()
 
 
 @dataclass(frozen=True)
@@ -160,7 +144,7 @@ def monte_carlo_nodes(kernel: KernelSpec, variant: ProblemVariant, batch: int, r
 
 
 @dataclass(frozen=True, eq=False)
-class AlphaField:
+class AlphaField(Document):
     """Thresholded coefficient field determined by (samples, lambda, gamma)."""
 
     samples: SampleSet
@@ -244,25 +228,6 @@ class AlphaField:
         vals = self.coeff_at_nodes(Z, W)
         K = kernels.cross(self.kernel, X, Z, W)
         return K @ (wts * vals)
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples.to_dict(),
-            "lambda": self.lam.tolist(),
-            "gamma": self.gamma,
-            "kernel": self.kernel.to_dict(),
-            "variant": self.variant.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AlphaField":
-        return cls(
-            samples=SampleSet.from_dict(d["samples"]),
-            lam=np.asarray(d["lambda"], dtype=float),
-            gamma=float(d["gamma"]),
-            kernel=KernelSpec.from_dict(d["kernel"]),
-            variant=ProblemVariant.from_dict(d["variant"]),
-        )
 
     def save(self, path) -> None:
         save_json(self.to_dict(), path)

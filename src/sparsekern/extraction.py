@@ -10,6 +10,7 @@ the field's magnitude is not the series coefficient.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +44,11 @@ def _scan_grid(field: AlphaField, cfg: PeakConfig):
     return quadrature_nodes(field.kernel, field.variant, quad)
 
 
-def _grid_local_maxima(vals: np.ndarray, shape) -> np.ndarray:
-    """Flat indices whose value is >= every axis-neighbor value."""
+def _grid_local_maxima(vals: np.ndarray, shape, axes) -> np.ndarray:
+    """Flat indices whose value is >= each neighbor's along the given axes."""
     v = vals.reshape(shape)
     keep = np.ones_like(v, dtype=bool)
-    for ax in range(v.ndim):
+    for ax in axes:
         if v.shape[ax] == 1:
             continue
         lo = [slice(None)] * v.ndim
@@ -113,16 +114,13 @@ def find_peaks(field: AlphaField, cfg: PeakConfig | None = None):
 
     if field.variant.kind == "fixed_centers":
         # maxima along the width axis only; never across distinct centers
-        v = vals.reshape((field.variant.centers.shape[0], cfg.grid_widths))
-        keep = np.ones_like(v, dtype=bool)
-        keep[:, :-1] &= v[:, :-1] >= v[:, 1:]
-        keep[:, 1:] &= v[:, 1:] >= v[:, :-1]
-        cand = np.flatnonzero(keep.ravel())
+        shape, axes = (field.variant.centers.shape[0], cfg.grid_widths), (1,)
     else:
         shape = (cfg.grid_centers,) * field.kernel.dim
         if field.variant.kind == "full":
             shape = shape + (cfg.grid_widths,)
-        cand = _grid_local_maxima(vals, shape)
+        axes = range(len(shape))
+    cand = _grid_local_maxima(vals, shape, axes)
     cand = cand[vals[cand] > threshold]
     if cand.size == 0:
         return []
@@ -284,10 +282,14 @@ def polish_model(
 
 
 def extract_model(
-    field: AlphaField, samples: SampleSet, cfg: PeakConfig | None = None
+    field: AlphaField, samples: SampleSet, cfg: PeakConfig | Callable | None = None
 ) -> DiscreteModel:
-    """find_peaks + refit_amplitudes; empty model when nothing crosses."""
-    peaks = find_peaks(field, cfg)
+    """Seed (center, width) pairs, then refit_amplitudes; empty model without seeds.
+
+    ``cfg`` is a PeakConfig for find_peaks, or a function of the field that
+    returns the seeds itself, such as subdivided_peaks.
+    """
+    peaks = cfg(field) if callable(cfg) else find_peaks(field, cfg)
     if not peaks:
         return DiscreteModel.empty(field.kernel.dim)
     return refit_amplitudes(peaks, samples, field.kernel)

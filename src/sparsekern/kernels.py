@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .documents import Document
 from .errors import DomainError
 
 FAMILIES = ("gaussian",)
 
 
 @dataclass(frozen=True, eq=False)
-class KernelSpec:
+class KernelSpec(Document):
     """Kernel family plus the compact domain its parameters live on.
 
     ``box`` is a (p, 2) array of per-axis [lo, hi] bounds for the centers;
@@ -60,23 +61,6 @@ class KernelSpec:
 
     def contains_width(self, w: float, tol: float = 1e-9) -> bool:
         return self.w_lo - tol <= w <= self.w_hi + tol
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "w_lo": self.w_lo,
-            "w_hi": self.w_hi,
-            "box": self.box.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KernelSpec":
-        return cls(
-            w_lo=float(d["w_lo"]),
-            w_hi=float(d["w_hi"]),
-            box=np.asarray(d["box"], dtype=float),
-            family=d.get("family", "gaussian"),
-        )
 
 
 def _check_width(spec: KernelSpec, w) -> None:

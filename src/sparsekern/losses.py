@@ -15,10 +15,11 @@ clamp radius where that objective is unbounded below.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from .documents import Document
 from .errors import DomainError
 
 KINDS = ("quadratic_eps", "absolute_eps", "hinge_eps")
@@ -27,7 +28,7 @@ DEFAULT_EPSILON = {"quadratic_eps": 1e-3, "absolute_eps": 1e-3, "hinge_eps": 0.0
 
 
 @dataclass(frozen=True)
-class Loss:
+class Loss(Document):
     kind: str
     epsilon: float
     clamp_radius: float
@@ -39,17 +40,6 @@ class Loss:
             raise DomainError("epsilon must be nonnegative")
         if not self.clamp_radius > 0:
             raise DomainError("clamp_radius must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Loss":
-        return cls(
-            kind=d["kind"],
-            epsilon=float(d["epsilon"]),
-            clamp_radius=float(d["clamp_radius"]),
-        )
 
 
 def default_loss(kind: str, y=None, epsilon: float | None = None) -> Loss:

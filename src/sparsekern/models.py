@@ -3,29 +3,22 @@
 A DiscreteModel is a list of (amplitude, center, width) terms evaluated as
 sum_j a_j * exp(-||x - z_j||^2 / (2 w_j^2)).  It is the canonical saved
 format shared by the sparse solver's extraction step and the baselines.
+
+It is not a ``documents.Document``: a saved model is a ``dim`` and a list of
+``{"a", "z", "w"}`` terms, not three parallel arrays.  That ``terms`` layout
+is the model file format, and ``sparsekern eval`` tells a model file from a
+field file by it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
+from .documents import load_json, save_json
 from .errors import DomainError
-
-
-def save_json(doc: dict, path) -> None:
-    """Write a ``to_dict`` document as one line of key-sorted JSON."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 @dataclass(frozen=True, eq=False)

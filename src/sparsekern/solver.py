@@ -35,7 +35,7 @@ from __future__ import annotations
 import contextlib
 import csv
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .dual_field import (
     monte_carlo_nodes,  # noqa: F401
     quadrature_nodes,
 )
+from .documents import Document
 from .errors import ConfigError, DivergenceError, DomainError
 from .kernels import KernelSpec
 from .losses import Loss
@@ -73,7 +74,7 @@ _CHECK_BLOCK = 128
 
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Document):
     gamma: float
     iters: int
     tol: float = 1e-3
@@ -92,9 +93,6 @@ class SolverConfig:
             raise ConfigError("tol must be positive")
         if self.trace_every < 1:
             raise ConfigError("trace_every must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":

@@ -9,6 +9,8 @@ from sparsekern.datasets import save_csv
 FIT_FLAGS = ["--gamma", "0.2", "--iters", "5"]
 # parsed and ignored: the benchmark still passes them
 IGNORED_FLAGS = ["--eta-lambda", "1e-3", "--eta-mu", "0.01", "--integrator", "quadrature"]
+KERNEL_SECTION = {"w_lo": 0.1, "w_hi": 1.0, "box": [[0.0, 3.0]]}
+LOSS_SECTION = {"kind": "quadratic_eps", "epsilon": 1e-3, "clamp_radius": 10.0}
 
 
 @pytest.fixture
@@ -61,6 +63,12 @@ def test_non_numeric_fixed_width_exits_2(train_csv, tmp_path, capsys):
         [1, 2],
         {"solver": {"iters": 5}, "loss": {"kind": "quadratic_eps"}},
         {"solver": {"iters": 5}, "kernel": {"w_lo": "a", "w_hi": 1.0, "box": [[0.0, 3.0]]}},
+        {"solver": {"iters": 5}, "loss": dict(LOSS_SECTION, eps=0.1)},
+        {"solver": {"iters": 5}, "kernel": dict(KERNEL_SECTION, eps=0.1)},
+        {"solver": {"iters": 5}, "kernel": "abc"},
+        {"solver": {"iters": 5}, "loss": 3},
+        {"solver": {"iters": 5}, "loss": dict(LOSS_SECTION, epsilon="0.1")},
+        {"solver": {"iters": 5}, "kernel": dict(KERNEL_SECTION, w_hi="1.0")},
     ],
 )
 def test_malformed_config_exits_2(doc, train_csv, tmp_path, capsys):
@@ -69,6 +77,22 @@ def test_malformed_config_exits_2(doc, train_csv, tmp_path, capsys):
     out = str(tmp_path / "m.json")
     argv = ["fit", train_csv, *FIT_FLAGS[:2], "--config", str(config), "--out", out]
     assert fails_with_one_error_line(argv, capsys)
+
+
+@pytest.mark.parametrize("section", ["kernel", "loss"])
+def test_unknown_kernel_or_loss_key_is_named(section, train_csv, tmp_path, capsys):
+    # refused, not dropped: a misspelt key would otherwise fit at the default
+    doc = {"kernel": KERNEL_SECTION, "loss": LOSS_SECTION}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    argv = ["fit", train_csv, *FIT_FLAGS, "--config", str(config), "--out", str(tmp_path / "m.json")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    doc[section] = dict(doc[section], eps=0.1)
+    config.write_text(json.dumps(doc))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'eps'" in err[0]
 
 
 def test_eval_of_a_field_file_exits_2(train_csv, tmp_path, capsys):

@@ -198,11 +198,36 @@ def test_integrator_config_errors():
         Quadrature(16, 0)
 
 
-def test_field_json_round_trip_bit_identical(tmp_path):
-    field = make_field(lam=np.array([0.5, -0.3, 0.8, 0.2, -0.6, 0.4]), gamma=0.13)
+VARIANTS = {
+    "full": ProblemVariant.full(),
+    "fixed_width": ProblemVariant.fixed_width(1.0),
+    "fixed_centers": ProblemVariant.fixed_centers(np.array([[0.7], [2.5], [4.1]])),
+}
+
+
+@pytest.mark.parametrize("kind", list(VARIANTS))
+def test_variant_dict_round_trip(kind):
+    variant = VARIANTS[kind]
+    doc = variant.to_dict()
+    # fields a kind does not use are left out of its document
+    assert set(doc) - {"kind"} == {"full": set(), "fixed_width": {"w0"}, "fixed_centers": {"centers"}}[kind]
+    back = ProblemVariant.from_dict(json.loads(json.dumps(doc)))
+    assert back.kind == kind and back.w0 == variant.w0
+    if kind == "fixed_centers":
+        assert np.array_equal(back.centers, variant.centers)
+    else:
+        assert back.centers is None
+
+
+@pytest.mark.parametrize("kind", list(VARIANTS))
+def test_field_json_round_trip_bit_identical(kind, tmp_path):
+    lam = np.array([0.5, -0.3, 0.8, 0.2, -0.6, 0.4])
+    field = make_field(lam=lam, gamma=0.13, variant=VARIANTS[kind])
     path = tmp_path / "field.json"
     field.save(path)
+    assert sorted(json.loads(path.read_text())) == ["gamma", "kernel", "lam", "samples", "variant"]
     back = AlphaField.load(path)
+    assert back.to_dict() == field.to_dict()
     quad = Quadrature(128, 32)
     for x in ([0.7], [2.5], [4.1]):
         assert back.predict(x, quad) == field.predict(x, quad)
