@@ -37,6 +37,11 @@ class ProblemVariant(Document):
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
             raise DomainError(f"unknown variant kind {self.kind!r}")
+        # a field the kind ignores would be saved and loaded back unused
+        if self.w0 is not None and self.kind != "fixed_width":
+            raise DomainError(f"variant {self.kind} takes no w0")
+        if self.centers is not None and self.kind != "fixed_centers":
+            raise DomainError(f"variant {self.kind} takes no centers")
         if self.kind == "fixed_width":
             if self.w0 is None or not self.w0 > 0:
                 raise DomainError("fixed_width requires a positive w0")

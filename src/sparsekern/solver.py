@@ -28,12 +28,24 @@ vectors in hand: rel_gap = |P - g| / max(1, |P|) with P = integral of
 alpha^2 / 2 + gamma 1[alpha != 0] the primal value of its field, and
 max_i c(yhat_i, y_i) its constraint violation.  ``fit`` stops when both
 are at most ``tol``; ``iters`` is a cap.
+
+A factored step sorts the nodes into support and complement from one
+float32 pass, s32 = M32 fl32(P lambda), whose error is at most
+gamma_{r+2} ||M_j|| ||P lambda|| per node (Higham 2002, 3.1).  Only nodes
+within twice that bound of the threshold are undecided; they and the
+smaller side of the support get exact float64 values from the factor's
+rows, and the r x r Gram gives the rest, so g, P, rel_gap and the
+violation are the float64 certificate.  A smaller side above G/4 nodes,
+or a P lambda beyond float32's range or not finite, takes the exact
+float64 pass.  A dense K stays float64: a prototype of the same scheme
+on pii_full's 6144 x 100 K ran 18-31% slower.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -71,6 +83,11 @@ _EPS = np.finfo(float).eps
 # the sketch of a low-rank K and the check of its factor take this many nodes
 # at a time
 _CHECK_BLOCK = 128
+# a factored step classifies the nodes from a float32 pass when R ||u|| is at
+# most this (R the largest row norm of M, u = P lam): then u, s and the
+# extrapolated s + beta (s - s_prev), at most 3 R ||u|| in size, stay below
+# float32's largest value, 3.4e38
+_F32_SCALE_MAX = float(np.finfo(np.float32).max) / 16
 
 
 @dataclass(frozen=True)
@@ -167,7 +184,36 @@ class _NodeMatrix:
     the worst-case rounding of the dense products it replaces, so abar and
     yhat stay as accurate as a full pass.  On cli_fit that takes r = 77-78,
     the rank where the sketch's singular values fall below eps times the
-    largest (seeds 1 and 41-43).
+    largest (seeds 1, 7 and 41-43).
+
+    A factored K also keeps M in float32 (M32; 0.96 MB on cli_fit, where
+    the float64 M, 1.9 MB, no longer fits a 2 MB L2 next to the step's
+    other arrays).  The loop asks for K^T lam only through ``surface``,
+    ``extrapolate``, ``integral`` and ``certificate_terms``.  A factored
+    surface is u = P lam with s32 = M32 fl32(u), one float32 pass, and
+    |s32_j - s_j| <= gamma_{r+2} ||M_j|| ||u|| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1; gamma_n = n e / (1 - n e) for
+    the unit roundoff e = 2^-24), so the surface carries scale = R ||u||,
+    R = max_j ||M_j||.  The extrapolated point is formed in float32 with
+    scale (1 + beta) scale + beta scale_prev, and u in r-space;
+    gamma_{r+6} covers its three roundings.  A node whose
+    ||s32_j| - sqrt(2 gamma)| exceeds twice gamma_{r+6} scale is on or off
+    the support exactly as a float64 pass puts it; the others are
+    undecided.  Exact float64 values are then taken from M's rows only on
+    the smaller side of the support with the undecided nodes (about 121
+    nodes on cli_fit, the complement), and the rest comes from C:
+    sum_on w s^2 = u^T C u - sum_off w s^2, W_on = W - W_off and
+    yhat = P^T (C u - M_off^T (w s)_off).
+    So g, P, rel_gap and the violation are the float64 certificate.  On
+    the cli_fit fits of seeds 1, 7 and 41 the float32 error stays under
+    5.3% of gamma_{r+6} scale, and a classification leaves 1.6-2.3 nodes
+    undecided on average (at most 13).  Two fallbacks take the exact pass
+    s = M u: a smaller side above G/4 nodes, and a u with R ||u|| beyond
+    _F32_SCALE_MAX or not finite.
+
+    A dense K stays float64: a prototype of the same scheme on pii_full's
+    6144 x 100 K ran 18-31% slower, since its row gathers and float32 copy
+    cost more than the float32 pass saves.
     """
 
     def __init__(self, kernel, X, Z, W):
@@ -177,6 +223,7 @@ class _NodeMatrix:
         self._rows = self._build(np.arange(G)) if G <= self._step else None
         self._basis = None  # P, once factored
         self._gram = None
+        self._wsum = None  # W = sum of the weights ``norm`` was given
 
     def _build(self, nodes):
         """The rows K[:, nodes]^T, from kernels.cross on at most _BLOCK nodes at a time."""
@@ -231,14 +278,15 @@ class _NodeMatrix:
             rank = np.count_nonzero(eigs > _EPS * eigs[-1])
             if rank and 4 * rank * (N + G) <= N * G and self._factor():
                 return self.norm(wts)
-        self._gram = gram
+        self._gram, self._wsum = gram, float(wts.sum())
         return float(eigs[-1])
 
     def _factor(self) -> bool:
         """Replace the held K^T by M P; returns whether it did.
 
-        P spans a Gaussian sketch K Omega^T of K's column space, with Omega
-        k x G and k = N G / (2 (N + G)).  r starts at the number of
+        P spans a random-sign sketch K Omega^T of K's column space, with
+        Omega k x G and k = N G / (2 (N + G)); signs draw in 1 ms on cli_fit
+        where Gaussians took 8, at the same r.  r starts at the number of
         the sketch's singular values above eps times the largest, and grows
         until max|K^T - M P| <= N eps, checked on _CHECK_BLOCK nodes at a
         time, so no N x G temporary is formed.  K stays when no r below k
@@ -251,7 +299,8 @@ class _NodeMatrix:
         sketch = np.zeros((N, k))
         for j in range(0, G, _CHECK_BLOCK):
             block = Kt[j : j + _CHECK_BLOCK]
-            sketch += block.T @ rng.standard_normal((block.shape[0], k))
+            bits = rng.integers(0, 256, (block.shape[0], (k + 7) // 8), dtype=np.uint8)
+            sketch += block.T @ (1.0 - 2.0 * np.unpackbits(bits, axis=1, count=k))
         U, sv, _ = np.linalg.svd(sketch, full_matrices=False)
         for r in range(int(np.count_nonzero(sv > _EPS * sv[0])), k):
             basis = np.ascontiguousarray(U[:, :r].T)
@@ -262,7 +311,18 @@ class _NodeMatrix:
                 if np.max(np.abs(block - M[j : j + _CHECK_BLOCK] @ basis)) > N * _EPS:
                     break
             else:
+                # M32 column by column: its pass takes 15 us on cli_fit, row by row 27
                 self._rows, self._basis = M, basis
+                self._cols32 = np.ascontiguousarray(M.T, dtype=np.float32)
+                self._row_norm = float(np.sqrt(np.max(np.einsum("ij,ij->i", M, M))))
+                n = r + 6
+                # twice gamma_{r+6}, the bound of an extrapolated float32
+                # value: the float32 errors seen on cli_fit stay under 5.3% of
+                # gamma_{r+6} scale, and the factor 2 also covers the float64
+                # pass's own rounding; the floor covers float32 underflow, at
+                # most about (2 r + 6 + sqrt(r) R) 2^-149 per node
+                self._f32_rel = 2.0 * n * 2.0**-24 / (1.0 - n * 2.0**-24)
+                self._f32_floor = n * (1.0 + self._row_norm) * 2.0**-146
                 return True
         return False
 
@@ -289,28 +349,136 @@ class _NodeMatrix:
             part = sum((ws[c] @ self._build(c) for c in chunks), np.zeros(len(lam)))
         return self._lift(part if use_support else self._gram @ self._coords(lam) - part)
 
+    def surface(self, lam):
+        """abar = K^T lam at the nodes, as a _Surface (see the class docstring)."""
+        if self._basis is None:
+            return _Surface(None, self.rmatvec(lam), None)
+        return self._surface(self._basis @ lam)
 
-# g, P, rel_gap, max_i c(yhat_i, y_i), alpha's support mask, yhat = K (w * alpha)
-_Certificate = namedtuple("_Certificate", "g primal rel_gap max_c on yhat")
+    def _surface(self, u):
+        """The float32 pass for u = P lam, or the exact one outside float32's range."""
+        peak = np.abs(u).max()  # nan when u holds one; u @ u cannot overflow below it
+        norm_u = math.sqrt(u @ u) if peak <= _F32_SCALE_MAX else np.inf
+        scale = self._row_norm * norm_u
+        if max(norm_u, scale) <= _F32_SCALE_MAX:
+            return _Surface(u, u.astype(np.float32) @ self._cols32, scale)
+        return _Surface(u, self._rows @ u, None)
+
+    def extrapolate(self, surf, prev, beta):
+        """The surface of x + beta (x - x_prev) from those of x and x_prev, by linearity."""
+        if not beta:
+            return surf
+        u = None if self._basis is None else surf.u + beta * (surf.u - prev.u)
+        if surf.scale is None and prev.scale is None:
+            return _Surface(u, surf.s + beta * (surf.s - prev.s), None)
+        if surf.scale is None or prev.scale is None:
+            return self._surface(u)
+        s = surf.s - prev.s
+        s *= np.float32(beta)
+        s += surf.s
+        return _Surface(u, s, (1.0 + beta) * surf.scale + beta * prev.scale)
+
+    def integral(self, surf, wts, gamma) -> float:
+        """sum_j w_j min(0, gamma - s_j^2 / 2) for the surface s, after ``norm(wts)``."""
+        if surf.scale is not None:
+            terms = self._float32_terms(surf, wts, gamma, with_yhat=False)
+            if terms is not None:
+                return gamma * terms[0] - 0.5 * terms[1]
+            surf = _Surface(surf.u, self._rows @ surf.u, None)
+        # min(0, gamma - s^2 / 2) = (min(s^2, 2 gamma) - s^2) / 2
+        sq = surf.s * surf.s
+        return 0.5 * float(wts @ (np.minimum(sq, 2.0 * gamma) - sq))
+
+    def certificate_terms(self, lam, surf, wts, gamma):
+        """(W_on, sum_on w s^2, the support's share of the nodes, yhat = K (w s 1_on)).
+
+        on = |s| > sqrt(2 gamma) for the surface s of lam, after ``norm(wts)``.
+        """
+        if surf.scale is not None:
+            terms = self._float32_terms(surf, wts, gamma, with_yhat=True)
+            if terms is not None:
+                return terms
+            surf = _Surface(surf.u, self._rows @ surf.u, None)
+        on = np.abs(surf.s) > np.sqrt(2.0 * gamma)
+        ws = wts * surf.s
+        sq = float((ws * on) @ surf.s)
+        mass = float(wts @ on)
+        return mass, sq, np.count_nonzero(on) / on.size, self.support_matvec(lam, ws, on)
+
+    def _gather_nodes(self, surf, gamma):
+        """(nodes, on_side) for a float32 surface; None when both sides exceed G/4 nodes.
+
+        The smaller side of the support as the float32 values place it:
+        the support itself (``on_side``) or its complement, together with
+        every node within the error bound of the threshold.  Every other
+        node is where an exact float64 pass puts it: off the support when
+        ``on_side``, on it otherwise.
+        """
+        tau = math.sqrt(2.0 * gamma)
+        bound = self._f32_rel * surf.scale + self._f32_floor
+        bound += 2.0**-22 * (tau + bound)  # and the rounding of tau +- bound to float32
+        a = np.abs(surf.s)
+        limit = _GATHER_SHARE * a.size
+        mask = a <= np.float32(tau + bound)  # off the support, or undecided
+        if np.count_nonzero(mask) <= limit:
+            return np.flatnonzero(mask), False
+        mask = a > np.float32(tau - bound)  # on the support, or undecided
+        if np.count_nonzero(mask) <= limit:
+            return np.flatnonzero(mask), True
+        return None
+
+    def _float32_terms(self, surf, wts, gamma, with_yhat):
+        """``certificate_terms`` from a float32 surface; None when both sides exceed G/4 nodes.
+
+        Exact float64 values come from M's rows at the gathered nodes only;
+        the other side of the support enters through C and W.
+        """
+        gathered = self._gather_nodes(surf, gamma)
+        if gathered is None:
+            return None
+        nodes, on_side = gathered
+        rows = self._rows[nodes]
+        s = rows @ surf.u
+        tau = math.sqrt(2.0 * gamma)
+        side = np.abs(s) > tau if on_side else np.abs(s) <= tau
+        ws = wts[nodes] * side
+        mass = float(ws.sum())
+        ws *= s
+        sq = float(ws @ s)
+        G = surf.s.size
+        n_on = np.count_nonzero(side)
+        if not on_side:
+            cu = self._gram @ surf.u
+            sq, mass, n_on = float(surf.u @ cu) - sq, self._wsum - mass, G - n_on
+        yhat = None
+        if with_yhat:
+            part = ws @ rows
+            yhat = self._lift(part if on_side else cu - part)
+        return mass, sq, n_on / G, yhat
 
 
-def _certify(problem, lam, smooth, wts, op, t):
-    """The certificate of lambda, whose abar at the nodes is ``smooth``."""
+# abar = K^T lam at the nodes: u = P lam once factored, else None; s; and
+# scale, None when s is exact, else the size R ||u|| its float32 error bound
+# rests on
+_Surface = namedtuple("_Surface", "u s scale")
+
+
+# g, P, rel_gap, max_i c(yhat_i, y_i), alpha's share of the nodes, yhat = K (w * alpha)
+_Certificate = namedtuple("_Certificate", "g primal rel_gap max_c support yhat")
+
+
+def _certify(problem, lam, surface, wts, op, t):
+    """The certificate of lambda, whose abar at the nodes is ``surface``."""
     gamma = problem.gamma
-    on = np.abs(smooth) > np.sqrt(2.0 * gamma)
-    ws = wts * smooth
-    wa = ws * on
-    sq = float(wa @ smooth)
-    mass = float(wts @ on)
+    mass, sq, support, yhat = op.certificate_terms(lam, surface, wts, gamma)
     g = losses.phi(problem.loss, lam, problem.samples.y) + gamma * mass - 0.5 * sq
     primal = gamma * mass + 0.5 * sq
-    yhat = op.support_matvec(lam, ws, on)
     max_c = float(np.max(losses.value(problem.loss, yhat, problem.samples.y)))
     rel_gap = abs(primal - g) / max(1.0, abs(primal))
     # g = -inf is no failure: an extrapolated point may leave hinge's half-line
     if not (np.isfinite(max_c) and g < np.inf):
         raise DivergenceError(t, float(np.linalg.norm(lam)))
-    return _Certificate(g, primal, rel_gap, max_c, on, yhat)
+    return _Certificate(g, primal, rel_gap, max_c, support, yhat)
 
 
 def dual_objective(state: DualState, problem: Problem, quad: Quadrature) -> float:
@@ -334,22 +502,19 @@ def _accelerated_ascent(problem, op, wts, config, record):
     loss, y, gamma = problem.loss, problem.samples.y, problem.gamma
     step = 1.0 / max(op.norm(wts), 1e-300)
     x = x_prev = np.zeros(problem.samples.n)
-    s = s_prev = op.rmatvec(x)
+    s = s_prev = op.surface(x)
     g_x, theta, beta, t = 0.0, 1.0, 0.0, 0  # g(0) = 0
     while True:
         # the extrapolated point and its abar, by linearity
         lam = x + beta * (x - x_prev) if beta else x
-        smooth = s + beta * (s - s_prev) if beta else s
-        cert = _certify(problem, lam, smooth, wts, op, t)
+        cert = _certify(problem, lam, op.extrapolate(s, s_prev, beta), wts, op, t)
         done = (cert.rel_gap <= config.tol and cert.max_c <= config.tol) or t == config.iters
         record(t, cert, done)
         if done:
             return lam, t, cert
         x_new = losses.prox(loss, lam - step * cert.yhat, y, step)
-        s_new = op.rmatvec(x_new)
-        # min(0, gamma - s^2 / 2) = (min(s^2, 2 gamma) - s^2) / 2
-        sq = s_new * s_new
-        g_new = losses.phi(loss, x_new, y) + 0.5 * float(wts @ (np.minimum(sq, 2.0 * gamma) - sq))
+        s_new = op.surface(x_new)
+        g_new = losses.phi(loss, x_new, y) + op.integral(s_new, wts, gamma)
         t += 1
         if g_new >= g_x:
             x_prev, s_prev, x, s, g_x = x, s, x_new, s_new, g_new
@@ -388,8 +553,7 @@ def fit(
             if t % config.trace_every == 0 or final:
                 g_trace.append((t, cert.g))
                 if writer:
-                    support = np.count_nonzero(cert.on) / cert.on.size
-                    writer.writerow([t, cert.g, cert.rel_gap, max(0.0, cert.max_c), support])
+                    writer.writerow([t, cert.g, cert.rel_gap, max(0.0, cert.max_c), cert.support])
 
         # overflow and NaN surface as a DivergenceError, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):

@@ -69,6 +69,9 @@ def test_non_numeric_fixed_width_exits_2(train_csv, tmp_path, capsys):
         {"solver": {"iters": 5}, "loss": 3},
         {"solver": {"iters": 5}, "loss": dict(LOSS_SECTION, epsilon="0.1")},
         {"solver": {"iters": 5}, "kernel": dict(KERNEL_SECTION, w_hi="1.0")},
+        {"solver": {"iters": 5}, "kernel": {"w_lo": True, "w_hi": 2, "box": [[0, 3]]}},
+        {"solver": {"iters": 5}, "kernel": dict(KERNEL_SECTION, box=[[False, 3.0]])},
+        {"solver": {"iters": 5}, "loss": dict(LOSS_SECTION, epsilon=True)},
     ],
 )
 def test_malformed_config_exits_2(doc, train_csv, tmp_path, capsys):
@@ -77,6 +80,19 @@ def test_malformed_config_exits_2(doc, train_csv, tmp_path, capsys):
     out = str(tmp_path / "m.json")
     argv = ["fit", train_csv, *FIT_FLAGS[:2], "--config", str(config), "--out", out]
     assert fails_with_one_error_line(argv, capsys)
+
+
+@pytest.mark.parametrize("section, key", [("kernel", "w_lo"), ("loss", "clamp_radius")])
+def test_boolean_in_kernel_or_loss_section_is_named(section, key, train_csv, tmp_path, capsys):
+    # JSON true would pass for the number 1, as the solver section refuses it
+    doc = {"kernel": KERNEL_SECTION, "loss": LOSS_SECTION}
+    doc[section] = dict(doc[section], **{key: True})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    argv = ["fit", train_csv, *FIT_FLAGS, "--config", str(config), "--out", str(tmp_path / "m.json")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"'{key}'" in err[0]
 
 
 @pytest.mark.parametrize("section", ["kernel", "loss"])

@@ -126,6 +126,23 @@ def test_variant_validation():
         make_field(variant=ProblemVariant.fixed_centers(np.array([[9.0]])))
 
 
+@pytest.mark.parametrize(
+    "kind, fields, ignored",
+    [
+        ("full", {"w0": 0.5}, "w0"),
+        ("full", {"centers": [[1.0]]}, "centers"),
+        ("fixed_width", {"w0": 1.0, "centers": [[1.0]]}, "centers"),
+        ("fixed_centers", {"centers": [[1.0]], "w0": 0.5}, "w0"),
+    ],
+)
+def test_variant_refuses_a_field_its_kind_ignores(kind, fields, ignored):
+    # kept, it would be saved to the field file and loaded back unused
+    with pytest.raises(DomainError, match=ignored):
+        ProblemVariant(kind, **fields)
+    with pytest.raises(DomainError, match=ignored):
+        ProblemVariant.from_dict({"kind": kind, **fields})
+
+
 def test_monotone_sparsification_in_gamma():
     rng = np.random.default_rng(4)
     lam = rng.normal(0, 1, 6)

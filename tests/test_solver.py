@@ -1,7 +1,9 @@
+import functools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsekern import (
     AlphaField,
@@ -424,3 +426,77 @@ def test_factored_fit_certificate_matches_a_dense_recomputation(monkeypatch):
     max_c = np.max(losses_mod.value(loss, K @ (wts * alpha), data.y))
     assert state.rel_gap == pytest.approx(abs(primal - g) / max(1.0, abs(primal)), rel=1e-9)
     assert state.max_c == pytest.approx(max_c, rel=1e-9)
+
+
+@functools.cache
+def _cli_fit_operator_seed1():
+    return cli_fit_operator(1)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.floats(-2.0, 2.0),
+    beta=st.floats(0.0, 1.0, exclude_max=True),
+    place=st.sampled_from(["anywhere", "near", "between"]),
+    node=st.integers(0, 96 * 32 - 1),
+    offset=st.floats(-1e-9, 1e-9),
+)
+@settings(max_examples=80, deadline=None)
+def test_float32_classification_equals_the_float64_pass(seed, size, beta, place, node, offset):
+    op, K, wts, _ = _cli_fit_operator_seed1()
+    N, G = K.shape
+    gamma = 0.2
+    tau = np.sqrt(2.0 * gamma)
+    rng = np.random.default_rng(seed)
+    lam, lam_prev = rng.normal(0.0, 10.0**size, (2, N))
+    if place == "near":
+        # rescale both points so that node's abar at the extrapolated point is tau + offset
+        at_node = K[:, node] @ (lam + beta * (lam - lam_prev))
+        lam, lam_prev = ((tau + offset) / abs(at_node)) * np.array([lam, lam_prev])
+    point = lam + beta * (lam - lam_prev)
+    here, prev = op.surface(lam), op.surface(lam_prev)
+    surf = op.extrapolate(here, prev, beta)
+    assert surf.s.dtype == np.float32
+    # the extrapolated point carries the bound of both passes
+    assert surf.scale == ((1.0 + beta) * here.scale + beta * prev.scale if beta else here.scale)
+    if place == "between":
+        # the threshold between node's float32 and float64 values: float32 alone errs there
+        tau = 0.5 * (abs(float(surf.s[node])) + abs(op._rows[node] @ surf.u))
+        gamma = 0.5 * tau * tau
+    exact = op._rows @ surf.u  # the float64 pass
+    on = np.abs(exact) > tau
+    gathered = op._gather_nodes(surf, gamma)
+    if gathered is not None:
+        # off the gathered nodes the float32 decision is the float64 one
+        nodes, on_side = gathered
+        rest = np.ones(G, dtype=bool)
+        rest[nodes] = False
+        assert np.all(on[rest] != on_side)
+    mass, sq, support, yhat = op.certificate_terms(point, surf, wts, gamma)
+    assert support == np.count_nonzero(on) / G
+    ws = wts * exact
+    assert abs(mass - wts @ on) <= N * EPS * wts.sum()
+    assert abs(sq - (ws * on) @ exact) <= N * EPS * (ws @ exact)
+    # rounding, plus the factor's entrywise error max|K^T - M P| <= N eps
+    bound = N * EPS * (np.abs(K) @ np.abs(ws) + np.abs(ws).sum())
+    assert np.all(np.abs(yhat - K @ (ws * on)) <= bound)
+    integral = wts @ np.minimum(0.0, gamma - exact**2 / 2)
+    assert abs(op.integral(surf, wts, gamma) - integral) <= N * EPS * (ws @ exact)
+
+
+def test_float32_overflow_takes_the_float64_pass():
+    # pytest turns a RuntimeWarning into an error: none may come from the cast
+    op, K, wts, _ = _cli_fit_operator_seed1()
+    N = K.shape[0]
+    lam = 1e40 * np.cos(np.arange(N))
+    surf = op.surface(lam)
+    assert surf.scale is None and surf.s.dtype == np.float64
+    assert np.allclose(surf.s, K.T @ lam, rtol=1e-12, atol=1e-12 * np.abs(K.T @ lam).max())
+    mixed = op.extrapolate(surf, op.surface(lam / 1e40), 0.5)
+    assert mixed.scale is None
+    for point in (surf, mixed):
+        on = np.abs(point.s) > np.sqrt(0.4)
+        mass, _, support, _ = op.certificate_terms(lam, point, wts, 0.2)
+        assert support == np.count_nonzero(on) / on.size and mass == pytest.approx(wts @ on)
+    nan = op.surface(np.full(N, np.nan))
+    assert nan.scale is None and np.all(np.isnan(nan.s))
