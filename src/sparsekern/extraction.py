@@ -245,14 +245,16 @@ def polish_model(
     X = samples.X
     J = model.n_terms
 
-    def refit(Zc, Wc):
-        Phi = kernels.cross(kernel, X, Zc, Wc)
-        # a 1e-10 ridge keeps coincident terms solvable
-        amps = np.linalg.solve(Phi.T @ Phi + 1e-10 * np.eye(J), Phi.T @ y)
-        r = y - Phi @ amps
-        return Phi, amps, r, float(r @ r)
+    # a 1e-10 ridge keeps coincident terms solvable
+    ridge = 1e-10 * np.eye(J)
 
-    Phi, amps, resid, sse = refit(Z, W)
+    def refit(Phi):
+        amps = np.linalg.solve(Phi.T @ Phi + ridge, Phi.T @ y)
+        r = y - Phi @ amps
+        return amps, r, float(r @ r)
+
+    Phi, d2 = kernels.cross(kernel, X, Z, W, with_sqdist=True)
+    amps, resid, sse = refit(Phi)
     step = 0.1 * float(np.min(W))
     for _ in range(steps):
         # dSSE/dz_j = -2 a_j sum_i r_i dk(x_i, z_j; w_j)/dz_j
@@ -261,7 +263,7 @@ def polish_model(
         gz /= (W**2)[:, None]
         gw = None
         if refine_widths:
-            gw = -2.0 * (M * kernels.sqdist(X, Z)).sum(axis=0) / W**3
+            gw = -2.0 * (M * d2).sum(axis=0) / W**3
         norm = np.sqrt(np.sum(gz**2) + (np.sum(gw**2) if gw is not None else 0.0))
         if norm == 0.0 or not np.isfinite(norm):
             break
@@ -269,9 +271,13 @@ def polish_model(
         while step > 1e-12 * float(np.min(W)):
             Zp = np.clip(Z - step * gz / norm, box[:, 0], box[:, 1])
             Wp = np.clip(W - step * gw / norm, kernel.w_lo, kernel.w_hi) if gw is not None else W
-            Phi_p, amps_p, resid_p, sse_p = refit(Zp, Wp)
+            # Wp lies in the width domain: the Gaussian straight from the
+            # distances, as kernels.cross evaluates it
+            d2_p = kernels.sqdist(X, Zp)
+            Phi_p = np.exp(d2_p / (-2.0 * Wp**2))
+            amps_p, resid_p, sse_p = refit(Phi_p)
             if sse_p < sse:
-                Z, W, Phi, amps, resid, sse = Zp, Wp, Phi_p, amps_p, resid_p, sse_p
+                Z, W, Phi, d2, amps, resid, sse = Zp, Wp, Phi_p, d2_p, amps_p, resid_p, sse_p
                 step *= 1.5
                 improved = True
                 break

@@ -37,6 +37,8 @@ class KernelSpec(Document):
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown kernel family {self.family!r}")
+        if not np.isfinite([self.w_lo, self.w_hi]).all():
+            raise DomainError(f"w_lo and w_hi must be finite, got {self.w_lo!r} and {self.w_hi!r}")
         if not (self.w_lo > 0 and self.w_hi >= self.w_lo):
             raise DomainError("width domain requires 0 < w_lo <= w_hi")
         box = np.array(self.box, dtype=float, copy=True)
@@ -44,6 +46,8 @@ class KernelSpec(Document):
             box = box.reshape(1, 2)
         if box.ndim != 2 or box.shape[1] != 2:
             raise DomainError("center box must be a (p, 2) array of [lo, hi]")
+        if not np.all(np.isfinite(box)):
+            raise DomainError("center box entries must be finite")
         if not np.all(box[:, 1] > box[:, 0]):
             raise DomainError("center box needs positive length on every axis")
         box.setflags(write=False)

@@ -36,10 +36,10 @@ class Loss(Document):
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown loss kind {self.kind!r}")
-        if self.epsilon < 0:
-            raise DomainError("epsilon must be nonnegative")
-        if not self.clamp_radius > 0:
-            raise DomainError("clamp_radius must be positive")
+        if not 0 <= self.epsilon < np.inf:
+            raise DomainError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
+        if not 0 < self.clamp_radius < np.inf:
+            raise DomainError(f"clamp_radius must be finite and positive, got {self.clamp_radius!r}")
 
 
 def default_loss(kind: str, y=None, epsilon: float | None = None) -> Loss:

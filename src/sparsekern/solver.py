@@ -21,20 +21,21 @@ S and its complement when it holds at most G/4 nodes: K_S (w alpha)_S, or
 A lambda - K_Sc (w abar)_Sc with A = K diag(w) K^T, the Gram kept from the
 step size.  A support and complement both above G/4 nodes, or a K of fewer
 than 100k entries, take a second full pass.  A held K whose numerical
-rank r is far below N is factored once (``_NodeMatrix``), and every
-product then runs on an r-dimensional basis: O((N + G) r) per step in
-place of O(N G).  Each iteration certifies the extrapolated point from
-vectors in hand: rel_gap = |P - g| / max(1, |P|) with P = integral of
+rank r is far below N, read from a random-sign sketch, is factored once
+(``_NodeMatrix``), and every product then runs on an r-dimensional
+basis: O((N + G) r) per step in place of O(N G).  Each iteration
+certifies the extrapolated point from vectors in hand:
+rel_gap = |P - g| / max(1, |P|) with P = integral of
 alpha^2 / 2 + gamma 1[alpha != 0] the primal value of its field, and
 max_i c(yhat_i, y_i) its constraint violation.  ``fit`` stops when both
 are at most ``tol``; ``iters`` is a cap.
 
 A factored step sorts the nodes into support and complement from one
-float32 pass, s32 = M32 fl32(P lambda), whose error is at most
-gamma_{r+2} ||M_j|| ||P lambda|| per node (Higham 2002, 3.1).  Only nodes
-within twice that bound of the threshold are undecided; they and the
-smaller side of the support get exact float64 values from the factor's
-rows, and the r x r Gram gives the rest, so g, P, rel_gap and the
+float32 pass on the leading columns of the factor that float32 resolves;
+its error is bounded per node (Higham 2002, 3.1), and only nodes within
+that bound of the threshold are undecided.  They and the smaller side of
+the support get exact float64 values from the factor's rows, kept across
+steps, and the r x r Gram gives the rest, so g, P, rel_gap and the
 violation are the float64 certificate.  A smaller side above G/4 nodes,
 or a P lambda beyond float32's range or not finite, takes the exact
 float64 pass.  A dense K stays float64: a prototype of the same scheme
@@ -83,6 +84,15 @@ _EPS = np.finfo(float).eps
 # the sketch of a low-rank K and the check of its factor take this many nodes
 # at a time
 _CHECK_BLOCK = 128
+# the factoring rule's probe sketches every _PROBE_STRIDE-th node: on pii_full's
+# 100 x 6144 K it takes 0.3-0.4 ms (N G (h + 1) / 8 multiply-adds, 1/32 of the
+# Gram's N^2 G), and it alone keeps rep 0 of every seed-0 desk study dense
+_PROBE_STRIDE = 8
+# the kept block of M's rows reaches _BLOCK_MARGIN sqrt(2 gamma) past the
+# needed nodes: over the 1000-step cli_fit fits of seeds 1, 7 and 41 it is
+# gathered again in 3.2-3.6% of the classifications and holds 1.09-1.13 times
+# the needed nodes
+_BLOCK_MARGIN = 0.1
 # a factored step classifies the nodes from a float32 pass when R ||u|| is at
 # most this (R the largest row norm of M, u = P lam): then u, s and the
 # extrapolated s + beta (s - s_prev), at most 3 R ||u|| in size, stay below
@@ -102,12 +112,12 @@ class SolverConfig(Document):
     integrator = "quadrature"
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ConfigError("gamma must be nonnegative")
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigError(f"gamma must be finite and nonnegative, got {self.gamma!r}")
         if self.iters < 1:
             raise ConfigError("iteration count must be >= 1")
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be finite and positive, got {self.tol!r}")
         if self.trace_every < 1:
             raise ConfigError("trace_every must be >= 1")
 
@@ -171,14 +181,18 @@ class _NodeMatrix:
     r-wide rows, with the r x r C = M^T diag(w) M in place of A;
     ||A|| = ||C|| since P has orthonormal rows.
 
-    The rule costs nothing: with r8 the count of A's eigenvalues above eps
-    times the largest, which ``norm`` computes anyway, K is factored when
-    4 r8 (N + G) <= N G, that is when twice r8 is at most the break-even
-    rank k = N G / (2 (N + G)).  Seed-0 rep 0 of each desk study stays
-    dense (r8 vs k): remark1 13 vs 9, komp_sparsity 15 vs 9, grid_vs_pii2
-    49 vs 48, pii_full 49 vs 49, sample_stability n = 51/101/201 51/94/96
-    vs 25/49/98.  The cli_fit problem (N = 300, G = 96 x 32) has r8 = 50-51
-    against k = 136, and is factored.
+    ``_factor`` reads the rule from its own sketch K Omega^T of k = N G /
+    (2 (N + G)) random-sign columns, the break-even rank: K is factored
+    when at most h = k / 2 of the sketch's singular values exceed
+    sqrt(eps) times the largest.  That count reads r8, the count of A's
+    eigenvalues above eps times the largest, which earlier versions formed
+    A to take: cli_fit (N = 300, G = 96 x 32) 50 vs 51 against h = 68,
+    pii_full 47 vs 49 against h = 24.  A probe of h + 1 columns on every
+    _PROBE_STRIDE-th node comes first and keeps K dense when all its
+    values exceed that.  It can only say "dense", so a misreading costs
+    time, never accuracy; and a column subset's singular values interlace
+    below K's, so a full probe speaks for K.  Only a K that stays dense
+    has its N x N Gram formed.
 
     The factor is kept only if max|K^T - M P| <= N eps entrywise: that is
     the worst-case rounding of the dense products it replaces, so abar and
@@ -186,29 +200,33 @@ class _NodeMatrix:
     the rank where the sketch's singular values fall below eps times the
     largest (seeds 1, 7 and 41-43).
 
-    A factored K also keeps M in float32 (M32; 0.96 MB on cli_fit, where
-    the float64 M, 1.9 MB, no longer fits a 2 MB L2 next to the step's
-    other arrays).  The loop asks for K^T lam only through ``surface``,
-    ``extrapolate``, ``integral`` and ``certificate_terms``.  A factored
-    surface is u = P lam with s32 = M32 fl32(u), one float32 pass, and
-    |s32_j - s_j| <= gamma_{r+2} ||M_j|| ||u|| (Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.1; gamma_n = n e / (1 - n e) for
-    the unit roundoff e = 2^-24), so the surface carries scale = R ||u||,
-    R = max_j ||M_j||.  The extrapolated point is formed in float32 with
-    scale (1 + beta) scale + beta scale_prev, and u in r-space;
-    gamma_{r+6} covers its three roundings.  A node whose
-    ||s32_j| - sqrt(2 gamma)| exceeds twice gamma_{r+6} scale is on or off
-    the support exactly as a float64 pass puts it; the others are
-    undecided.  Exact float64 values are then taken from M's rows only on
-    the smaller side of the support with the undecided nodes (about 121
-    nodes on cli_fit, the complement), and the rest comes from C:
-    sum_on w s^2 = u^T C u - sum_off w s^2, W_on = W - W_off and
-    yhat = P^T (C u - M_off^T (w s)_off).
-    So g, P, rel_gap and the violation are the float64 certificate.  On
-    the cli_fit fits of seeds 1, 7 and 41 the float32 error stays under
-    5.3% of gamma_{r+6} scale, and a classification leaves 1.6-2.3 nodes
-    undecided on average (at most 13).  Two fallbacks take the exact pass
-    s = M u: a smaller side above G/4 nodes, and a u with R ||u|| beyond
+    A factored K keeps the leading q columns of M in float32 (M32, 0.64 MB
+    on cli_fit beside the 1.9 MB float64 M), q the fewest whose dropped
+    tail has R_tail = max_j ||M_j[q:]|| <= 2^-24 R, R = max_j ||M_j||:
+    M's columns fall with the sketch's singular values, and cli_fit has
+    q = 51-52 of r = 77.  The loop asks for K^T lam only through
+    ``surface``, ``extrapolate``, ``integral`` and ``certificate_terms``.
+    A factored surface is u = P lam with s32 = M32 fl32(u[:q]), and
+    |s32_j - s_j| <= gamma_{q+2} ||M_j|| ||u|| + R_tail ||u[q:]|| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1; gamma_n =
+    n e / (1 - n e), e = 2^-24); the surface carries scale = R ||u||.  The
+    extrapolated point is formed in float32 with scale (1 + beta) scale +
+    beta scale_prev, and u in r-space: gamma_{q+6} covers its three
+    roundings, and the tail, linear in u, is bounded at the extrapolated u.
+    A node whose ||s32_j| - sqrt(2 gamma)| exceeds 2 gamma_{q+6} scale +
+    R_tail ||u[q:]|| is on or off the support exactly as a float64 pass
+    puts it; the others are undecided.  Exact float64 values come from
+    M's rows on a block of nodes kept across steps, which holds the
+    smaller side of the support and the undecided nodes (about 120 on
+    cli_fit, the complement) and reaches _BLOCK_MARGIN sqrt(2 gamma)
+    further; it is gathered again only when the side changes or a needed
+    node falls outside it.  The rest comes from C: sum_on w s^2 =
+    u^T C u - sum_off w s^2, W_on = W - W_off and yhat =
+    P^T (C u - M_off^T (w s)_off).  So g, P, rel_gap and the violation are
+    the float64 certificate.  On the cli_fit fits of seeds 1, 7 and 41 the
+    float32 error stays under 7.8% of gamma_{q+6} scale and the tail term
+    under 0.6% of the bound.  Two fallbacks take the exact pass s = M u: a
+    smaller side above G/4 nodes, and a u with R ||u|| beyond
     _F32_SCALE_MAX or not finite.
 
     A dense K stays float64: a prototype of the same scheme on pii_full's
@@ -263,45 +281,58 @@ class _NodeMatrix:
     def norm(self, wts) -> float:
         """||K diag(w) K^T||: sums B^T B over blocks B of diag(sqrt(w)) K^T; keeps the sum.
 
-        A held K whose Gram has few eigenvalues above eps times the largest
-        is factored first, and the sum is then C = M^T diag(w) M.
+        A held K of low numerical rank is factored first (``_factor``), and
+        the sum is then C = M^T diag(w) M.
         """
+        if self._rows is not None and self._basis is None:
+            self._factor()
         gram = 0.0
         for part, rows in self._chunks():
             root = np.sqrt(wts[part])[:, None]
             for j in range(0, rows.shape[0], _BLOCK):
                 B = rows[j : j + _BLOCK] * root[j : j + _BLOCK]
                 gram = gram + B.T @ B
-        eigs = np.linalg.eigvalsh(gram)
-        if self._rows is not None and self._basis is None:
-            G, N = self._rows.shape
-            rank = np.count_nonzero(eigs > _EPS * eigs[-1])
-            if rank and 4 * rank * (N + G) <= N * G and self._factor():
-                return self.norm(wts)
         self._gram, self._wsum = gram, float(wts.sum())
-        return float(eigs[-1])
+        return float(np.linalg.eigvalsh(gram)[-1])
 
     def _factor(self) -> bool:
         """Replace the held K^T by M P; returns whether it did.
 
         P spans a random-sign sketch K Omega^T of K's column space, with
         Omega k x G and k = N G / (2 (N + G)); signs draw in 1 ms on cli_fit
-        where Gaussians took 8, at the same r.  r starts at the number of
-        the sketch's singular values above eps times the largest, and grows
-        until max|K^T - M P| <= N eps, checked on _CHECK_BLOCK nodes at a
-        time, so no N x G temporary is formed.  K stays when no r below k
-        passes.
+        where Gaussians took 8, at the same r.  K is factored when at most
+        h = N G / (4 (N + G)) of the sketch's singular values exceed
+        sqrt(eps) times the largest; a probe of h + 1 columns on every
+        _PROBE_STRIDE-th node keeps K dense first when all of its values
+        do.  r starts at the number of the sketch's singular values above
+        eps times the largest, and grows until max|K^T - M P| <= N eps,
+        checked on _CHECK_BLOCK nodes at a time, so no N x G temporary is
+        formed.  K stays when no r below k passes.
         """
         Kt = self._rows
         G, N = Kt.shape
         k = N * G // (2 * (N + G))
+        h = N * G // (4 * (N + G))
+        if h < 1:  # not even rank 1 would pay
+            return False
         rng = np.random.default_rng(0)  # a fixed sketch: runs stay bit-identical
-        sketch = np.zeros((N, k))
-        for j in range(0, G, _CHECK_BLOCK):
-            block = Kt[j : j + _CHECK_BLOCK]
-            bits = rng.integers(0, 256, (block.shape[0], (k + 7) // 8), dtype=np.uint8)
-            sketch += block.T @ (1.0 - 2.0 * np.unpackbits(bits, axis=1, count=k))
-        U, sv, _ = np.linalg.svd(sketch, full_matrices=False)
+        bits = rng.integers(0, 256, (G, (k + 7) // 8), dtype=np.uint8)
+
+        def sketch(stride, cols):
+            """K Omega^T on every stride-th node and the first cols signs."""
+            out = np.zeros((N, cols))
+            for j in range(0, G, stride * _CHECK_BLOCK):
+                part = slice(j, j + stride * _CHECK_BLOCK, stride)
+                out += Kt[part].T @ (1.0 - 2.0 * np.unpackbits(bits[part], axis=1, count=cols))
+            return out
+
+        probe = sketch(_PROBE_STRIDE, h + 1)
+        sq = np.linalg.eigvalsh(probe.T @ probe)  # its squared singular values
+        if np.count_nonzero(sq > _EPS * sq[-1]) > h:
+            return False
+        U, sv, _ = np.linalg.svd(sketch(1, k), full_matrices=False)
+        if not sv[0] > 0 or np.count_nonzero(sv > math.sqrt(_EPS) * sv[0]) > h:
+            return False
         for r in range(int(np.count_nonzero(sv > _EPS * sv[0])), k):
             basis = np.ascontiguousarray(U[:, :r].T)
             M = np.empty((G, r))
@@ -311,16 +342,26 @@ class _NodeMatrix:
                 if np.max(np.abs(block - M[j : j + _CHECK_BLOCK] @ basis)) > N * _EPS:
                     break
             else:
-                # M32 column by column: its pass takes 15 us on cli_fit, row by row 27
                 self._rows, self._basis = M, basis
-                self._cols32 = np.ascontiguousarray(M.T, dtype=np.float32)
                 self._row_norm = float(np.sqrt(np.max(np.einsum("ij,ij->i", M, M))))
-                n = r + 6
-                # twice gamma_{r+6}, the bound of an extrapolated float32
-                # value: the float32 errors seen on cli_fit stay under 5.3% of
-                # gamma_{r+6} scale, and the factor 2 also covers the float64
+                # q, the leading columns the float32 pass reads: the fewest
+                # whose dropped tail has max_j ||M_j[q:]|| <= 2^-24 R
+                tail_sq, q = np.zeros(G), r
+                while q > 0:
+                    wider = tail_sq + np.square(M[:, q - 1])
+                    if np.max(wider) > (2.0**-24 * self._row_norm) ** 2:
+                        break
+                    tail_sq, q = wider, q - 1
+                self._tail_norm = float(np.sqrt(np.max(tail_sq)))
+                # M32 column by column: its pass takes 15 us on cli_fit, row by row 27
+                self._cols32 = np.ascontiguousarray(M[:, :q].T, dtype=np.float32)
+                self._block = None
+                n = q + 6
+                # twice gamma_{q+6}, the bound of an extrapolated float32
+                # value: the float32 errors seen on cli_fit stay under 7.8% of
+                # gamma_{q+6} scale, and the factor 2 also covers the float64
                 # pass's own rounding; the floor covers float32 underflow, at
-                # most about (2 r + 6 + sqrt(r) R) 2^-149 per node
+                # most about (2 q + 6 + sqrt(q) R) 2^-149 per node
                 self._f32_rel = 2.0 * n * 2.0**-24 / (1.0 - n * 2.0**-24)
                 self._f32_floor = n * (1.0 + self._row_norm) * 2.0**-146
                 return True
@@ -361,7 +402,8 @@ class _NodeMatrix:
         norm_u = math.sqrt(u @ u) if peak <= _F32_SCALE_MAX else np.inf
         scale = self._row_norm * norm_u
         if max(norm_u, scale) <= _F32_SCALE_MAX:
-            return _Surface(u, u.astype(np.float32) @ self._cols32, scale)
+            q = self._cols32.shape[0]
+            return _Surface(u, u[:q].astype(np.float32) @ self._cols32, scale)
         return _Surface(u, self._rows @ u, None)
 
     def extrapolate(self, surf, prev, beta):
@@ -408,24 +450,36 @@ class _NodeMatrix:
     def _gather_nodes(self, surf, gamma):
         """(nodes, on_side) for a float32 surface; None when both sides exceed G/4 nodes.
 
-        The smaller side of the support as the float32 values place it:
-        the support itself (``on_side``) or its complement, together with
-        every node within the error bound of the threshold.  Every other
-        node is where an exact float64 pass puts it: off the support when
-        ``on_side``, on it otherwise.
+        The needed nodes are the smaller side of the support as the float32
+        values place it, the support itself (``on_side``) or its complement,
+        with every node within the error bound of the threshold; every
+        other node is where an exact float64 pass puts it.  ``nodes`` is the
+        kept block, a superset of them, gathered again only when the side
+        changes or a needed node falls outside it.
         """
         tau = math.sqrt(2.0 * gamma)
-        bound = self._f32_rel * surf.scale + self._f32_floor
+        tail = surf.u[self._cols32.shape[0] :]
+        bound = self._f32_rel * surf.scale + self._tail_norm * math.sqrt(tail @ tail)
+        bound += self._f32_floor
         bound += 2.0**-22 * (tau + bound)  # and the rounding of tau +- bound to float32
         a = np.abs(surf.s)
         limit = _GATHER_SHARE * a.size
-        mask = a <= np.float32(tau + bound)  # off the support, or undecided
-        if np.count_nonzero(mask) <= limit:
-            return np.flatnonzero(mask), False
-        mask = a > np.float32(tau - bound)  # on the support, or undecided
-        if np.count_nonzero(mask) <= limit:
-            return np.flatnonzero(mask), True
-        return None
+        on_side, needed = False, a <= np.float32(tau + bound)  # off the support, or undecided
+        count = np.count_nonzero(needed)
+        if count > limit:
+            on_side, needed = True, a > np.float32(tau - bound)  # on the support, or undecided
+            count = np.count_nonzero(needed)
+            if count > limit:
+                return None
+        block = self._block
+        # fewer needed nodes in the block than in all: one of them fell outside it
+        kept = block is not None and block.on_side == on_side
+        if not (kept and np.count_nonzero(needed[block.nodes]) == count):
+            edge = bound + _BLOCK_MARGIN * tau
+            wide = a > np.float32(tau - edge) if on_side else a <= np.float32(tau + edge)
+            nodes = np.flatnonzero(wide)
+            block = self._block = _Block(nodes, on_side, self._rows[nodes])
+        return block.nodes, on_side
 
     def _float32_terms(self, surf, wts, gamma, with_yhat):
         """``certificate_terms`` from a float32 surface; None when both sides exceed G/4 nodes.
@@ -437,7 +491,7 @@ class _NodeMatrix:
         if gathered is None:
             return None
         nodes, on_side = gathered
-        rows = self._rows[nodes]
+        rows = self._block.rows
         s = rows @ surf.u
         tau = math.sqrt(2.0 * gamma)
         side = np.abs(s) > tau if on_side else np.abs(s) <= tau
@@ -455,6 +509,11 @@ class _NodeMatrix:
             part = ws @ rows
             yhat = self._lift(part if on_side else cu - part)
         return mass, sq, n_on / G, yhat
+
+
+# the rows of M kept across steps: the nodes, the side of the support they
+# hold, and M's rows there
+_Block = namedtuple("_Block", "nodes on_side rows")
 
 
 # abar = K^T lam at the nodes: u = P lam once factored, else None; s; and

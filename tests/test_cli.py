@@ -72,6 +72,14 @@ def test_non_numeric_fixed_width_exits_2(train_csv, tmp_path, capsys):
         {"solver": {"iters": 5}, "kernel": {"w_lo": True, "w_hi": 2, "box": [[0, 3]]}},
         {"solver": {"iters": 5}, "kernel": dict(KERNEL_SECTION, box=[[False, 3.0]])},
         {"solver": {"iters": 5}, "loss": dict(LOSS_SECTION, epsilon=True)},
+        # JSON NaN and Infinity: non-finite settings are refused, not run
+        {"solver": {"iters": 5, "tol": float("inf")}},
+        {"solver": {"iters": 5, "tol": float("nan")}},
+        {"solver": {"iters": 5}, "kernel": dict(KERNEL_SECTION, w_hi=float("inf"))},
+        {"solver": {"iters": 5}, "kernel": dict(KERNEL_SECTION, w_lo=float("nan"))},
+        {"solver": {"iters": 5}, "kernel": dict(KERNEL_SECTION, box=[[0.0, float("inf")]])},
+        {"solver": {"iters": 5}, "loss": dict(LOSS_SECTION, epsilon=float("nan"))},
+        {"solver": {"iters": 5}, "loss": dict(LOSS_SECTION, clamp_radius=float("inf"))},
     ],
 )
 def test_malformed_config_exits_2(doc, train_csv, tmp_path, capsys):
@@ -80,6 +88,16 @@ def test_malformed_config_exits_2(doc, train_csv, tmp_path, capsys):
     out = str(tmp_path / "m.json")
     argv = ["fit", train_csv, *FIT_FLAGS[:2], "--config", str(config), "--out", out]
     assert fails_with_one_error_line(argv, capsys)
+
+
+@pytest.mark.parametrize("flag", ["--gamma", "--epsilon"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_flag_exits_2_naming_it(flag, value, train_csv, tmp_path, capsys):
+    # a non-finite gamma or epsilon would run and end in a numeric failure
+    argv = ["fit", train_csv, *FIT_FLAGS, f"{flag}={value}", "--out", str(tmp_path / "m.json")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and flag[2:] in err[0]
 
 
 @pytest.mark.parametrize("section, key", [("kernel", "w_lo"), ("loss", "clamp_radius")])

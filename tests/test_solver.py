@@ -500,3 +500,59 @@ def test_float32_overflow_takes_the_float64_pass():
         assert support == np.count_nonzero(on) / on.size and mass == pytest.approx(wts @ on)
     nan = op.surface(np.full(N, np.nan))
     assert nan.scale is None and np.all(np.isnan(nan.s))
+
+
+def test_float32_pass_reads_only_the_columns_float32_resolves():
+    op, K, _, _ = _cli_fit_operator_seed1()
+    M = op._rows
+    q, r = op._cols32.shape[0], M.shape[1]
+    R = np.linalg.norm(M, axis=1).max()
+    assert 0 < q < r
+    # the dropped tail is below float32's resolution of the largest row ...
+    assert np.linalg.norm(M[:, q:], axis=1).max() <= 2.0**-24 * R
+    assert op._tail_norm == pytest.approx(np.linalg.norm(M[:, q:], axis=1).max(), rel=1e-12)
+    # ... and q is the fewest columns for which it is
+    assert np.linalg.norm(M[:, q - 1 :], axis=1).max() > 2.0**-24 * R
+
+
+def test_kept_block_gives_the_float64_terms_along_a_sequence_of_surfaces():
+    # the kept block is state: one operator goes through surfaces that reuse
+    # it, gather it again on the same side, and switch between the support
+    # and its complement; every call must give the float64 pass's terms
+    op, K, wts, _ = cli_fit_operator(7)
+    N, G = K.shape
+    gamma = 0.2
+    tau = np.sqrt(2.0 * gamma)
+    lam0 = np.random.default_rng(3).normal(0.0, 1.0, N)
+    a0 = np.abs(K.T @ lam0)
+    # a scale that puts a share p of the nodes on the support; a step of
+    # 0.1% moves few nodes, one from 5% to 20% moves needed nodes out of the
+    # block, and every side stays within G/4 nodes
+    scales = [tau / np.quantile(a0, 1.0 - p) for p in (0.05, 0.2, 0.95, 0.8, 0.05)]
+    scales = [c * f for c in scales for f in (1.0, 1.001)][:-1]
+    events = []
+    for c in scales:
+        lam = c * lam0
+        surf = op.surface(lam)
+        assert surf.scale is not None
+        before = op._block
+        mass, sq, support, yhat = op.certificate_terms(lam, surf, wts, gamma)
+        block = op._block
+        if block is before:
+            events.append("reuse")
+        elif before is not None and before.on_side == block.on_side:
+            events.append("regather")
+        else:
+            events.append("new side")
+        exact = op._rows @ surf.u  # the float64 pass
+        on = np.abs(exact) > tau
+        rest = np.ones(G, dtype=bool)
+        rest[block.nodes] = False
+        assert np.all(on[rest] != block.on_side)
+        ws = wts * exact
+        assert support == np.count_nonzero(on) / G
+        assert abs(mass - wts @ on) <= N * EPS * wts.sum()
+        assert abs(sq - (ws * on) @ exact) <= N * EPS * (ws @ exact)
+        bound = N * EPS * (np.abs(K) @ np.abs(ws) + np.abs(ws).sum())
+        assert np.all(np.abs(yhat - K @ (ws * on)) <= bound)
+    assert events == ["new side", "reuse", "regather", "reuse"] * 2 + ["new side"]
