@@ -7,11 +7,11 @@ the dual domain, then extracts low-complexity discrete kernel models.
 
 from .baselines import KompConfig, komp_fit, ridge_fit
 from .datasets import SampleSet, gen_mixed_gauss, gen_remark1, gen_sin_squared
-from .dual_field import AlphaField, ProblemVariant, Quadrature, bump_field
+from .dual_field import AlphaField, ProblemVariant, Quadrature
 from .extraction import PeakConfig, extract_model, find_peaks, refit_amplitudes
 from .kernels import KernelSpec
 from .losses import Loss, default_loss
-from .models import DiscreteModel, predict_discrete
+from .models import DiscreteModel
 from .solver import DualState, Problem, SolverConfig, dual_objective, fit
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "Quadrature",
     "SampleSet",
     "SolverConfig",
-    "bump_field",
     "default_loss",
     "dual_objective",
     "extract_model",
@@ -37,7 +36,6 @@ __all__ = [
     "gen_remark1",
     "gen_sin_squared",
     "komp_fit",
-    "predict_discrete",
     "refit_amplitudes",
     "ridge_fit",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -33,7 +34,11 @@ def _parse_variant(text: str) -> ProblemVariant:
         if kind == "fixed-width":
             return ProblemVariant.fixed_width(float(value))
         if kind == "fixed-centers":
-            return ProblemVariant.fixed_centers(np.loadtxt(value, delimiter=",", ndmin=2))
+            with warnings.catch_warnings():
+                # an empty file warns here; ProblemVariant refuses its empty list
+                warnings.simplefilter("ignore", UserWarning)
+                centers = np.loadtxt(value, delimiter=",", ndmin=2)
+            return ProblemVariant.fixed_centers(centers)
     except ValueError as exc:
         raise ConfigError(f"bad --variant {text!r}: {exc}") from None
     raise ConfigError(

@@ -313,8 +313,3 @@ class BumpField:
             kx = kernels.cross(self.kernel, x.reshape(1, -1), Z, W)[0]
             total += a * self.height * cell * np.sum(kx)
         return float(total)
-
-
-def bump_field(model: DiscreteModel, m: int, kernel: KernelSpec) -> BumpField:
-    """Box-bump approximation of a discrete model as a coefficient field."""
-    return BumpField(model=model, m=m, kernel=kernel)

@@ -90,8 +90,3 @@ class DiscreteModel:
     @classmethod
     def load(cls, path) -> "DiscreteModel":
         return cls.from_dict(load_json(path))
-
-
-def predict_discrete(model: DiscreteModel, x) -> float:
-    """Evaluate sum_j a_j k(x, z_j; w_j) at one point."""
-    return model.predict(x)

@@ -15,31 +15,26 @@ gradient step on the integral, then the prox of phi, with step 1/L,
 L = ||K diag(w) K^T||.  A step from the extrapolated point that does not
 raise g restarts the momentum (O'Donoghue & Candes 2015); one from the
 iterate itself halves the step.  An iteration costs one N x G pass, K^T
-of the new iterate, plus yhat at the extrapolated point, whose abar is
-linear in the last two iterates.  yhat gathers the smaller of the support
-S and its complement when it holds at most G/4 nodes: K_S (w alpha)_S, or
-A lambda - K_Sc (w abar)_Sc with A = K diag(w) K^T, the Gram kept from the
-step size.  A support and complement both above G/4 nodes, or a K of fewer
-than 100k entries, take a second full pass.  A held K whose numerical
-rank r is far below N, read from a random-sign sketch, is factored once
-(``_NodeMatrix``), and every product then runs on an r-dimensional
-basis: O((N + G) r) per step in place of O(N G).  Each iteration
-certifies the extrapolated point from vectors in hand:
-rel_gap = |P - g| / max(1, |P|) with P = integral of
-alpha^2 / 2 + gamma 1[alpha != 0] the primal value of its field, and
-max_i c(yhat_i, y_i) its constraint violation.  ``fit`` stops when both
-are at most ``tol``; ``iters`` is a cap.
+of the new iterate, plus the certificate of the extrapolated point, whose
+abar is linear in the last two iterates.  Each iteration certifies that
+point from vectors in hand: rel_gap = |P - g| / max(1, |P|) with P =
+integral of alpha^2 / 2 + gamma 1[alpha != 0] the primal value of its
+field, and max_i c(yhat_i, y_i) its constraint violation.  ``fit`` stops
+when both are at most ``tol``; ``iters`` is a cap.
 
-A factored step sorts the nodes into support and complement from one
-float32 pass on the leading columns of the factor that float32 resolves;
-its error is bounded per node (Higham 2002, 3.1), and only nodes within
-that bound of the threshold are undecided.  They and the smaller side of
-the support get exact float64 values from the factor's rows, kept across
-steps, and the r x r Gram gives the rest, so g, P, rel_gap and the
-violation are the float64 certificate.  A smaller side above G/4 nodes,
-or a P lambda beyond float32's range or not finite, takes the exact
-float64 pass.  A dense K stays float64: a prototype of the same scheme
-on pii_full's 6144 x 100 K ran 18-31% slower.
+Every kernel matrix, held, streamed or factored, is certified by one
+routine (``_NodeMatrix.certificate_terms``).  It sorts the nodes into the
+support S and its complement, reads exact values on the smaller side
+only, and takes the other side from A = K diag(w) K^T, the Gram formed
+once with L: yhat = K_S (w alpha)_S, or A lambda - K_Sc (w abar)_Sc.  A
+support and complement both above G/4 nodes, or a K of fewer than 100k
+entries, take a second full pass instead.  A held K whose numerical rank
+r is far below N, read from a random-sign sketch, is factored once, and
+every product then runs on an r-dimensional basis: O((N + G) r) per step
+in place of O(N G).  Its surfaces come from a float32 pass whose error is
+bounded per node (Higham 2002, 3.1); nodes within that bound of the
+threshold are undecided and join the gathered side, so g, P, rel_gap and
+the violation are the float64 certificate on every path.
 """
 
 from __future__ import annotations
@@ -166,20 +161,19 @@ class Problem:
 
 
 class _NodeMatrix:
-    """K[i, j] = k(x_i; z_j, w_j) on fixed nodes, stored node-major: one row per node.
+    """K[i, j] = k(x_i; z_j, w_j) on nodes of weights w, stored node-major: one row per node.
 
     Held whole (``_rows`` is K^T, G x N), or rebuilt in chunks of nodes when
-    it would exceed _PRECOMPUTE_LIMIT entries (``_rows`` is None).  ``norm``
-    keeps the Gram A = K diag(w) K^T.  With it ``support_matvec`` gathers at
-    most G/4 nodes when the support or its complement is that small and K
-    has at least 100k entries, and makes one N x G pass otherwise.
+    it would exceed _PRECOMPUTE_LIMIT entries (``_rows`` is None).  The
+    constructor factors a held K of low numerical rank (``_factor``), forms
+    the Gram A = K diag(w) K^T and keeps it, with its largest eigenvalue
+    as ``lipschitz``.
 
-    A held K of low numerical rank is factored by ``norm``: K^T = M P, with
-    P (r x N) of orthonormal rows and M = K^T P^T (G x r), whose rows take
-    the place of K's, and K is released.  A step then costs O((N + G) r):
-    abar = M (P lam), and yhat = P^T (.) from the same gathers on M's
-    r-wide rows, with the r x r C = M^T diag(w) M in place of A;
-    ||A|| = ||C|| since P has orthonormal rows.
+    Factored, K^T = M P, with P (r x N) of orthonormal rows and M = K^T P^T
+    (G x r), whose rows take the place of K's, and K is released.  A step
+    then costs O((N + G) r): abar = M (P lam), and yhat = P^T (.) from the
+    same gathers on M's r-wide rows, with the r x r C = M^T diag(w) M in
+    place of A; ||A|| = ||C|| since P has orthonormal rows.
 
     ``_factor`` reads the rule from its own sketch K Omega^T of k = N G /
     (2 (N + G)) random-sign columns, the break-even rank: K is factored
@@ -191,8 +185,7 @@ class _NodeMatrix:
     _PROBE_STRIDE-th node comes first and keeps K dense when all its
     values exceed that.  It can only say "dense", so a misreading costs
     time, never accuracy; and a column subset's singular values interlace
-    below K's, so a full probe speaks for K.  Only a K that stays dense
-    has its N x N Gram formed.
+    below K's, so a full probe speaks for K.
 
     The factor is kept only if max|K^T - M P| <= N eps entrywise: that is
     the worst-case rounding of the dense products it replaces, so abar and
@@ -200,48 +193,69 @@ class _NodeMatrix:
     the rank where the sketch's singular values fall below eps times the
     largest (seeds 1, 7 and 41-43).
 
-    A factored K keeps the leading q columns of M in float32 (M32, 0.64 MB
-    on cli_fit beside the 1.9 MB float64 M), q the fewest whose dropped
-    tail has R_tail = max_j ||M_j[q:]|| <= 2^-24 R, R = max_j ||M_j||:
-    M's columns fall with the sketch's singular values, and cli_fit has
-    q = 51-52 of r = 77.  The loop asks for K^T lam only through
-    ``surface``, ``extrapolate``, ``integral`` and ``certificate_terms``.
-    A factored surface is u = P lam with s32 = M32 fl32(u[:q]), and
-    |s32_j - s_j| <= gamma_{q+2} ||M_j|| ||u|| + R_tail ||u[q:]|| (Higham,
-    Accuracy and Stability of Numerical Algorithms, 3.1; gamma_n =
-    n e / (1 - n e), e = 2^-24); the surface carries scale = R ||u||.  The
-    extrapolated point is formed in float32 with scale (1 + beta) scale +
-    beta scale_prev, and u in r-space: gamma_{q+6} covers its three
-    roundings, and the tail, linear in u, is bounded at the extrapolated u.
-    A node whose ||s32_j| - sqrt(2 gamma)| exceeds 2 gamma_{q+6} scale +
-    R_tail ||u[q:]|| is on or off the support exactly as a float64 pass
-    puts it; the others are undecided.  Exact float64 values come from
-    M's rows on a block of nodes kept across steps, which holds the
-    smaller side of the support and the undecided nodes (about 120 on
-    cli_fit, the complement) and reaches _BLOCK_MARGIN sqrt(2 gamma)
-    further; it is gathered again only when the side changes or a needed
-    node falls outside it.  The rest comes from C: sum_on w s^2 =
-    u^T C u - sum_off w s^2, W_on = W - W_off and yhat =
-    P^T (C u - M_off^T (w s)_off).  So g, P, rel_gap and the violation are
-    the float64 certificate.  On the cli_fit fits of seeds 1, 7 and 41 the
-    float32 error stays under 7.8% of gamma_{q+6} scale and the tail term
-    under 0.6% of the bound.  Two fallbacks take the exact pass s = M u: a
-    smaller side above G/4 nodes, and a u with R ||u|| beyond
-    _F32_SCALE_MAX or not finite.
+    The loop asks for K^T lam only through ``surface``, ``extrapolate``,
+    ``integral`` and ``certificate_terms``.  A surface holds its
+    coordinates u (P lam once factored, else lam itself), the values s of
+    abar at the nodes, and scale, the size of their error bound: 0 for a
+    float64 s, which is exact.  A factored K keeps the leading q columns of
+    M in float32 (M32, 0.64 MB on cli_fit beside the 1.9 MB float64 M), q
+    the fewest whose dropped tail has R_tail = max_j ||M_j[q:]|| <= 2^-24
+    R, R = max_j ||M_j||: M's columns fall with the sketch's singular
+    values, and cli_fit has q = 51-52 of r = 77.  Its surface is s32 =
+    M32 fl32(u[:q]), and |s32_j - s_j| <= gamma_{q+2} ||M_j|| ||u|| +
+    R_tail ||u[q:]|| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1; gamma_n = n e / (1 - n e), e = 2^-24), with scale =
+    R ||u||.  The extrapolated point is formed in float32 with scale (1 +
+    beta) scale + beta scale_prev, and u in r-space: gamma_{q+6} covers
+    its three roundings.  A dense K stays float64: a prototype of the
+    float32 pass on pii_full's 6144 x 100 K ran 18-31% slower, since its
+    row gathers and float32 copy cost more than the pass saves.
 
-    A dense K stays float64: a prototype of the same scheme on pii_full's
-    6144 x 100 K ran 18-31% slower, since its row gathers and float32 copy
-    cost more than the float32 pass saves.
+    Every surface is certified by one routine, ``certificate_terms``.  A
+    node whose ||s_j| - sqrt(2 gamma)| exceeds the surface's bound is on or
+    off the support exactly as a float64 pass puts it; the others are
+    undecided.  The needed nodes are the smaller side of the support, the
+    support itself or its complement, with the undecided ones; when they
+    number at most G/4, exact values are read there only: s[nodes] from an
+    exact surface, M's rows times u from a float32 one.  The rest comes
+    from the Gram: sum_on w s^2 = u^T A u - sum_off w s^2, W_on = W - W_off
+    and yhat = A u - K_off (w s)_off (factored, P^T (C u - M_off^T (w
+    s)_off)).  So g, P, rel_gap and the violation are the float64
+    certificate on every path.  On the cli_fit fits of seeds 1, 7 and 41
+    the float32 error stays under 7.8% of gamma_{q+6} scale.
+
+    A held K, dense or factored, keeps the gathered rows across steps: a
+    block that holds the needed nodes and reaches _BLOCK_MARGIN sqrt(2
+    gamma) further, gathered again only when the side changes or a needed
+    node falls outside it.  A streamed K keeps no block: its gathered rows
+    are built each step, _step nodes at a time, since a kept block raised
+    the peak RSS of a 1900-point streamed fit from 344 to 385 MB.  A
+    float32 surface whose sides both exceed G/4 nodes takes the exact pass
+    s = M u and is classified again; an exact one whose sides both do, or a
+    K of fewer than _GATHER_MIN_ENTRIES entries, takes one full pass
+    matvec(w s 1_on).
     """
 
-    def __init__(self, kernel, X, Z, W):
+    def __init__(self, kernel, X, Z, W, wts):
         self._args = (kernel, X, Z, W)
+        self._wts, self._wsum = wts, float(wts.sum())
         self._step = max(1, _PRECOMPUTE_LIMIT // X.shape[0])
         G = Z.shape[0]
+        self._small = X.shape[0] * G < _GATHER_MIN_ENTRIES  # no gather pays below
         self._rows = self._build(np.arange(G)) if G <= self._step else None
         self._basis = None  # P, once factored
-        self._gram = None
-        self._wsum = None  # W = sum of the weights ``norm`` was given
+        self._block = None
+        if self._rows is not None:
+            self._factor()
+        # the Gram sums B^T B over blocks B of diag(sqrt(w)) K^T
+        gram = 0.0
+        for part, rows in self._chunks():
+            root = np.sqrt(wts[part])[:, None]
+            for j in range(0, rows.shape[0], _BLOCK):
+                B = rows[j : j + _BLOCK] * root[j : j + _BLOCK]
+                gram = gram + B.T @ B
+        self._gram = gram
+        self.lipschitz = float(np.linalg.eigvalsh(gram)[-1])  # ||K diag(w) K^T||
 
     def _build(self, nodes):
         """The rows K[:, nodes]^T, from kernels.cross on at most _BLOCK nodes at a time."""
@@ -259,41 +273,14 @@ class _NodeMatrix:
         parts = [np.arange(s, min(s + self._step, G)) for s in range(0, G, self._step)]
         return ((part, self._build(part)) for part in parts)
 
-    def _coords(self, lam):
-        """P lam once factored, else lam."""
-        return lam if self._basis is None else self._basis @ lam
-
     def _lift(self, u):
         """P^T u once factored, else u."""
         return u if self._basis is None else u @ self._basis
-
-    def rmatvec(self, lam):
-        """K^T lam: the smooth surface abar at the nodes."""
-        lam = self._coords(lam)
-        parts = [rows @ lam for _, rows in self._chunks()]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def matvec(self, v):
         if self._rows is not None:
             return self._lift(self._rows.T @ v)
         return sum(rows.T @ v[part] for part, rows in self._chunks())
-
-    def norm(self, wts) -> float:
-        """||K diag(w) K^T||: sums B^T B over blocks B of diag(sqrt(w)) K^T; keeps the sum.
-
-        A held K of low numerical rank is factored first (``_factor``), and
-        the sum is then C = M^T diag(w) M.
-        """
-        if self._rows is not None and self._basis is None:
-            self._factor()
-        gram = 0.0
-        for part, rows in self._chunks():
-            root = np.sqrt(wts[part])[:, None]
-            for j in range(0, rows.shape[0], _BLOCK):
-                B = rows[j : j + _BLOCK] * root[j : j + _BLOCK]
-                gram = gram + B.T @ B
-        self._gram, self._wsum = gram, float(wts.sum())
-        return float(np.linalg.eigvalsh(gram)[-1])
 
     def _factor(self) -> bool:
         """Replace the held K^T by M P; returns whether it did.
@@ -352,49 +339,29 @@ class _NodeMatrix:
                     if np.max(wider) > (2.0**-24 * self._row_norm) ** 2:
                         break
                     tail_sq, q = wider, q - 1
-                self._tail_norm = float(np.sqrt(np.max(tail_sq)))
                 # M32 column by column: its pass takes 15 us on cli_fit, row by row 27
                 self._cols32 = np.ascontiguousarray(M[:, :q].T, dtype=np.float32)
-                self._block = None
                 n = q + 6
-                # twice gamma_{q+6}, the bound of an extrapolated float32
-                # value: the float32 errors seen on cli_fit stay under 7.8% of
-                # gamma_{q+6} scale, and the factor 2 also covers the float64
-                # pass's own rounding; the floor covers float32 underflow, at
+                # the bound of an extrapolated float32 value is twice
+                # gamma_{q+6} scale.  One gamma_{q+6} scale covers its three
+                # roundings; the second covers the dropped tail and the
+                # float64 pass's own rounding, since q's rule gives
+                #   R_tail ||u[q:]|| <= 2^-24 R ||u|| = 2^-24 scale,
+                # far below gamma_{q+6} scale >= (q + 6) 2^-24 scale.  The
+                # float32 errors seen on cli_fit stay under 7.8% of
+                # gamma_{q+6} scale.  The floor covers float32 underflow, at
                 # most about (2 q + 6 + sqrt(q) R) 2^-149 per node
                 self._f32_rel = 2.0 * n * 2.0**-24 / (1.0 - n * 2.0**-24)
                 self._f32_floor = n * (1.0 + self._row_norm) * 2.0**-146
                 return True
         return False
 
-    def support_matvec(self, lam, ws, on):
-        """K (ws * on) for ws = w * (K^T lam), after ``norm(w)``.
-
-        Gathers the smaller of the support S = ``on`` and its complement
-        when it has at most _GATHER_SHARE * G nodes and K at least
-        _GATHER_MIN_ENTRIES entries: K_S ws_S, or A lam - K_Sc ws_Sc
-        (factored: P^T (M_S^T ws_S), or P^T (C P lam - M_Sc^T ws_Sc)).
-        Otherwise one full pass.
-        """
-        if len(lam) * on.size < _GATHER_MIN_ENTRIES:
-            return self.matvec(ws * on)
-        n_on = np.count_nonzero(on)
-        if min(n_on, on.size - n_on) > _GATHER_SHARE * on.size:
-            return self.matvec(ws * on)
-        use_support = 2 * n_on <= on.size
-        nodes = np.flatnonzero(on if use_support else ~on)
-        if self._rows is not None:
-            part = ws[nodes] @ self._rows[nodes]
-        else:  # only the gathered nodes go through kernels.cross
-            chunks = [nodes[j : j + self._step] for j in range(0, len(nodes), self._step)]
-            part = sum((ws[c] @ self._build(c) for c in chunks), np.zeros(len(lam)))
-        return self._lift(part if use_support else self._gram @ self._coords(lam) - part)
-
     def surface(self, lam):
         """abar = K^T lam at the nodes, as a _Surface (see the class docstring)."""
-        if self._basis is None:
-            return _Surface(None, self.rmatvec(lam), None)
-        return self._surface(self._basis @ lam)
+        if self._basis is not None:
+            return self._surface(self._basis @ lam)
+        parts = [rows @ lam for _, rows in self._chunks()]
+        return _Surface(lam, parts[0] if len(parts) == 1 else np.concatenate(parts), 0.0)
 
     def _surface(self, u):
         """The float32 pass for u = P lam, or the exact one outside float32's range."""
@@ -404,121 +371,120 @@ class _NodeMatrix:
         if max(norm_u, scale) <= _F32_SCALE_MAX:
             q = self._cols32.shape[0]
             return _Surface(u, u[:q].astype(np.float32) @ self._cols32, scale)
-        return _Surface(u, self._rows @ u, None)
+        return _Surface(u, self._rows @ u, 0.0)
 
     def extrapolate(self, surf, prev, beta):
         """The surface of x + beta (x - x_prev) from those of x and x_prev, by linearity."""
         if not beta:
             return surf
-        u = None if self._basis is None else surf.u + beta * (surf.u - prev.u)
-        if surf.scale is None and prev.scale is None:
-            return _Surface(u, surf.s + beta * (surf.s - prev.s), None)
-        if surf.scale is None or prev.scale is None:
+        u = surf.u + beta * (surf.u - prev.u)
+        if surf.s.dtype != prev.s.dtype:  # one float32, one exact
             return self._surface(u)
         s = surf.s - prev.s
-        s *= np.float32(beta)
+        s *= s.dtype.type(beta)
         s += surf.s
         return _Surface(u, s, (1.0 + beta) * surf.scale + beta * prev.scale)
 
-    def integral(self, surf, wts, gamma) -> float:
-        """sum_j w_j min(0, gamma - s_j^2 / 2) for the surface s, after ``norm(wts)``."""
-        if surf.scale is not None:
-            terms = self._float32_terms(surf, wts, gamma, with_yhat=False)
-            if terms is not None:
-                return gamma * terms[0] - 0.5 * terms[1]
-            surf = _Surface(surf.u, self._rows @ surf.u, None)
+    def integral(self, surf, gamma) -> float:
+        """sum_j w_j min(0, gamma - s_j^2 / 2) for the surface s."""
+        if surf.s.dtype == np.float32:
+            mass, sq, _, _ = self.certificate_terms(surf, gamma, with_yhat=False)
+            return gamma * mass - 0.5 * sq
         # min(0, gamma - s^2 / 2) = (min(s^2, 2 gamma) - s^2) / 2
         sq = surf.s * surf.s
-        return 0.5 * float(wts @ (np.minimum(sq, 2.0 * gamma) - sq))
+        return 0.5 * float(self._wts @ (np.minimum(sq, 2.0 * gamma) - sq))
 
-    def certificate_terms(self, lam, surf, wts, gamma):
-        """(W_on, sum_on w s^2, the support's share of the nodes, yhat = K (w s 1_on)).
+    def certificate_terms(self, surf, gamma, with_yhat=True):
+        """(W_on, sum_on w s^2, the support's share of the nodes, yhat = K (w s 1_on) or None).
 
-        on = |s| > sqrt(2 gamma) for the surface s of lam, after ``norm(wts)``.
+        on = |s| > sqrt(2 gamma) for the surface s.  Exact values come from
+        the gathered nodes only, and the other side of the support from the
+        Gram and W (see the class docstring).
         """
-        if surf.scale is not None:
-            terms = self._float32_terms(surf, wts, gamma, with_yhat=True)
-            if terms is not None:
-                return terms
-            surf = _Surface(surf.u, self._rows @ surf.u, None)
-        on = np.abs(surf.s) > np.sqrt(2.0 * gamma)
-        ws = wts * surf.s
-        sq = float((ws * on) @ surf.s)
-        mass = float(wts @ on)
-        return mass, sq, np.count_nonzero(on) / on.size, self.support_matvec(lam, ws, on)
-
-    def _gather_nodes(self, surf, gamma):
-        """(nodes, on_side) for a float32 surface; None when both sides exceed G/4 nodes.
-
-        The needed nodes are the smaller side of the support as the float32
-        values place it, the support itself (``on_side``) or its complement,
-        with every node within the error bound of the threshold; every
-        other node is where an exact float64 pass puts it.  ``nodes`` is the
-        kept block, a superset of them, gathered again only when the side
-        changes or a needed node falls outside it.
-        """
+        G = surf.s.size
+        block = self._gather(surf, gamma)
+        if block is None:
+            if surf.s.dtype == np.float32:  # classified again on the exact pass
+                exact = _Surface(surf.u, self._rows @ surf.u, 0.0)
+                return self.certificate_terms(exact, gamma, with_yhat)
+            on = np.abs(surf.s) > math.sqrt(2.0 * gamma)  # one full pass
+            ws = self._wts * surf.s
+            sq = float((ws * on) @ surf.s)
+            yhat = self.matvec(ws * on) if with_yhat else None
+            return float(self._wts @ on), sq, np.count_nonzero(on) / G, yhat
+        nodes, on_side, rows = block
+        s = rows @ surf.u if surf.s.dtype == np.float32 else surf.s[nodes]
         tau = math.sqrt(2.0 * gamma)
-        tail = surf.u[self._cols32.shape[0] :]
-        bound = self._f32_rel * surf.scale + self._tail_norm * math.sqrt(tail @ tail)
-        bound += self._f32_floor
-        bound += 2.0**-22 * (tau + bound)  # and the rounding of tau +- bound to float32
+        side = np.abs(s) > tau if on_side else np.abs(s) <= tau
+        ws = self._wts[nodes] * side
+        mass = float(ws.sum())
+        ws *= s
+        sq = float(ws @ s)
+        n_on = np.count_nonzero(side)
+        if not on_side:
+            cu = self._gram @ surf.u
+            sq, mass, n_on = float(surf.u @ cu) - sq, self._wsum - mass, G - n_on
+        if not with_yhat:
+            return mass, sq, n_on / G, None
+        if rows is not None:
+            part = ws @ rows
+        else:  # streamed: only the gathered nodes go through kernels.cross
+            part = np.zeros(surf.u.size)
+            for j in range(0, len(nodes), self._step):
+                part += ws[j : j + self._step] @ self._build(nodes[j : j + self._step])
+        return mass, sq, n_on / G, self._lift(part if on_side else cu - part)
+
+    def _gather(self, surf, gamma):
+        """The _Block of nodes whose exact values the certificate reads; None for a full pass.
+
+        The needed nodes are the smaller side of the support as s places
+        it, the support itself (``on_side``) or its complement, with every
+        node within the surface's error bound of the threshold; every other
+        node is where an exact float64 pass puts it.  None when K has fewer
+        than _GATHER_MIN_ENTRIES entries or both sides exceed G/4 nodes.  A
+        held K returns its kept block, a superset of the needed nodes,
+        gathered again only when the side changes or a needed node falls
+        outside it; a streamed K returns the needed nodes, without rows.
+        """
+        if self._small:
+            return None
         a = np.abs(surf.s)
+        tau = math.sqrt(2.0 * gamma)
+        bound = 0.0
+        if a.dtype == np.float32:
+            bound = self._f32_rel * surf.scale + self._f32_floor
+            bound += 2.0**-22 * (tau + bound)  # and the rounding of tau +- bound to float32
+        cast = a.dtype.type
         limit = _GATHER_SHARE * a.size
-        on_side, needed = False, a <= np.float32(tau + bound)  # off the support, or undecided
+        on_side, needed = False, a <= cast(tau + bound)  # off the support, or undecided
         count = np.count_nonzero(needed)
         if count > limit:
-            on_side, needed = True, a > np.float32(tau - bound)  # on the support, or undecided
+            on_side, needed = True, a > cast(tau - bound)  # on the support, or undecided
             count = np.count_nonzero(needed)
             if count > limit:
                 return None
+        if self._rows is None:
+            return _Block(np.flatnonzero(needed), on_side, None)
         block = self._block
         # fewer needed nodes in the block than in all: one of them fell outside it
         kept = block is not None and block.on_side == on_side
         if not (kept and np.count_nonzero(needed[block.nodes]) == count):
             edge = bound + _BLOCK_MARGIN * tau
-            wide = a > np.float32(tau - edge) if on_side else a <= np.float32(tau + edge)
+            wide = a > cast(tau - edge) if on_side else a <= cast(tau + edge)
             nodes = np.flatnonzero(wide)
             block = self._block = _Block(nodes, on_side, self._rows[nodes])
-        return block.nodes, on_side
-
-    def _float32_terms(self, surf, wts, gamma, with_yhat):
-        """``certificate_terms`` from a float32 surface; None when both sides exceed G/4 nodes.
-
-        Exact float64 values come from M's rows at the gathered nodes only;
-        the other side of the support enters through C and W.
-        """
-        gathered = self._gather_nodes(surf, gamma)
-        if gathered is None:
-            return None
-        nodes, on_side = gathered
-        rows = self._block.rows
-        s = rows @ surf.u
-        tau = math.sqrt(2.0 * gamma)
-        side = np.abs(s) > tau if on_side else np.abs(s) <= tau
-        ws = wts[nodes] * side
-        mass = float(ws.sum())
-        ws *= s
-        sq = float(ws @ s)
-        G = surf.s.size
-        n_on = np.count_nonzero(side)
-        if not on_side:
-            cu = self._gram @ surf.u
-            sq, mass, n_on = float(surf.u @ cu) - sq, self._wsum - mass, G - n_on
-        yhat = None
-        if with_yhat:
-            part = ws @ rows
-            yhat = self._lift(part if on_side else cu - part)
-        return mass, sq, n_on / G, yhat
+        return block
 
 
-# the rows of M kept across steps: the nodes, the side of the support they
-# hold, and M's rows there
+# the nodes whose exact values a certificate reads, the side of the support
+# they hold, and the rows of K^T (or M) there: kept across steps by a held K,
+# None for a streamed one
 _Block = namedtuple("_Block", "nodes on_side rows")
 
 
-# abar = K^T lam at the nodes: u = P lam once factored, else None; s; and
-# scale, None when s is exact, else the size R ||u|| its float32 error bound
-# rests on
+# abar = K^T lam at the nodes: the coordinates u (P lam once factored, else
+# lam), s, and scale, the size R ||u|| a float32 s's error bound rests on,
+# 0 for an exact float64 s
 _Surface = namedtuple("_Surface", "u s scale")
 
 
@@ -526,10 +492,10 @@ _Surface = namedtuple("_Surface", "u s scale")
 _Certificate = namedtuple("_Certificate", "g primal rel_gap max_c support yhat")
 
 
-def _certify(problem, lam, surface, wts, op, t):
+def _certify(problem, lam, surface, op, t):
     """The certificate of lambda, whose abar at the nodes is ``surface``."""
     gamma = problem.gamma
-    mass, sq, support, yhat = op.certificate_terms(lam, surface, wts, gamma)
+    mass, sq, support, yhat = op.certificate_terms(surface, gamma)
     g = losses.phi(problem.loss, lam, problem.samples.y) + gamma * mass - 0.5 * sq
     primal = gamma * mass + 0.5 * sq
     max_c = float(np.max(losses.value(problem.loss, yhat, problem.samples.y)))
@@ -543,7 +509,7 @@ def _certify(problem, lam, surface, wts, op, t):
 def dual_objective(state: DualState, problem: Problem, quad: Quadrature) -> float:
     """Deterministic g(lambda) under the given midpoint rule."""
     Z, W, wts = quadrature_nodes(problem.kernel, problem.variant, quad)
-    smooth = _NodeMatrix(problem.kernel, problem.samples.X, Z, W).rmatvec(state.lam)
+    smooth = kernels.cross(problem.kernel, problem.samples.X, Z, W).T @ state.lam
     g_int = float(wts @ np.minimum(0.0, problem.gamma - 0.5 * smooth**2))
     return losses.phi(problem.loss, state.lam, problem.samples.y) + g_int
 
@@ -556,24 +522,24 @@ def primal_objective(field_: AlphaField, quad: Quadrature) -> float:
     return float(wts @ (0.5 * vals**2 + field_.gamma * support))
 
 
-def _accelerated_ascent(problem, op, wts, config, record):
+def _accelerated_ascent(problem, op, config, record):
     """FISTA with restart and step halving; returns (lambda, t, certificate)."""
     loss, y, gamma = problem.loss, problem.samples.y, problem.gamma
-    step = 1.0 / max(op.norm(wts), 1e-300)
+    step = 1.0 / max(op.lipschitz, 1e-300)
     x = x_prev = np.zeros(problem.samples.n)
     s = s_prev = op.surface(x)
     g_x, theta, beta, t = 0.0, 1.0, 0.0, 0  # g(0) = 0
     while True:
         # the extrapolated point and its abar, by linearity
         lam = x + beta * (x - x_prev) if beta else x
-        cert = _certify(problem, lam, op.extrapolate(s, s_prev, beta), wts, op, t)
+        cert = _certify(problem, lam, op.extrapolate(s, s_prev, beta), op, t)
         done = (cert.rel_gap <= config.tol and cert.max_c <= config.tol) or t == config.iters
         record(t, cert, done)
         if done:
             return lam, t, cert
         x_new = losses.prox(loss, lam - step * cert.yhat, y, step)
         s_new = op.surface(x_new)
-        g_new = losses.phi(loss, x_new, y) + op.integral(s_new, wts, gamma)
+        g_new = losses.phi(loss, x_new, y) + op.integral(s_new, gamma)
         t += 1
         if g_new >= g_x:
             x_prev, s_prev, x, s, g_x = x, s, x_new, s_new, g_new
@@ -616,8 +582,8 @@ def fit(
 
         # overflow and NaN surface as a DivergenceError, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            op = _NodeMatrix(kernel, samples.X, Z, W)
-            lam, t, cert = _accelerated_ascent(problem, op, wts, config, record)
+            op = _NodeMatrix(kernel, samples.X, Z, W, wts)
+            lam, t, cert = _accelerated_ascent(problem, op, config, record)
     converged = cert.rel_gap <= config.tol and cert.max_c <= config.tol
     state = DualState(lam, t, g_trace, converged, *cert[:4])
     return state, AlphaField(samples, lam, config.gamma, kernel, variant)

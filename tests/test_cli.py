@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ def test_non_numeric_fixed_width_exits_2(train_csv, tmp_path, capsys):
     out = str(tmp_path / "m.json")
     argv = ["fit", train_csv, *FIT_FLAGS, "--variant", "fixed-width=abc", "--out", out]
     assert fails_with_one_error_line(argv, capsys)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_empty_fixed_centers_file_exits_2_without_a_warning(text, train_csv, tmp_path, capsys):
+    centers = tmp_path / "centers.csv"
+    centers.write_text(text)
+    out = str(tmp_path / "m.json")
+    argv = ["fit", train_csv, *FIT_FLAGS, "--variant", f"fixed-centers={centers}", "--out", out]
+    # a warning printed before the error line would be a second line on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fails_with_one_error_line(argv, capsys)
 
 
 @pytest.mark.parametrize(

@@ -10,11 +10,10 @@ from sparsekern import (
     ProblemVariant,
     Quadrature,
     SampleSet,
-    bump_field,
     gen_remark1,
 )
 from sparsekern import kernels
-from sparsekern.dual_field import quadrature_nodes
+from sparsekern.dual_field import BumpField, quadrature_nodes
 from sparsekern.errors import ConfigError, DomainError
 
 KERNEL = KernelSpec(w_lo=0.3, w_hi=1.8, box=np.array([[0.0, 5.0]]))
@@ -257,7 +256,7 @@ BUMP_MODEL = DiscreteModel(np.array([1.3]), np.array([[2.5]]), np.array([1.0]))
 
 def test_bump_zero_amplitudes_zero_field():
     model = DiscreteModel(np.array([0.0]), np.array([[2.5]]), np.array([1.0]))
-    bf = bump_field(model, 8, KERNEL)
+    bf = BumpField(model, 8, KERNEL)
     rng = np.random.default_rng(6)
     Z = rng.uniform(0, 5, (50, 1))
     W = rng.uniform(0.3, 1.8, 50)
@@ -268,14 +267,14 @@ def test_bump_zero_amplitudes_zero_field():
 def test_bump_support_escape_raises():
     model = DiscreteModel(np.array([1.0]), np.array([[0.1]]), np.array([1.0]))
     with pytest.raises(DomainError):
-        bump_field(model, 4, KERNEL)  # 0.1 - 0.25 < 0
-    bump_field(model, 16, KERNEL)
+        BumpField(model, 4, KERNEL)  # 0.1 - 0.25 < 0
+    BumpField(model, 16, KERNEL)
 
 
 def test_bump_mass_on_aligned_grid_equals_amplitude_sum():
     # grid cells exactly tile the bump's box, so midpoint integration is exact
     model = DiscreteModel(np.array([1.3, -0.4]), np.array([[2.5], [1.25]]), np.array([1.0, 0.75]))
-    bf = bump_field(model, 4, KERNEL)
+    bf = BumpField(model, 4, KERNEL)
     nz, nw = 400, 300  # h_z = 0.0125, h_w = 0.005 both divide every bump edge offset
     hz = 5.0 / nz
     hw = 1.5 / nw
@@ -292,7 +291,7 @@ def test_bump_prediction_converges_to_model():
     probes = np.linspace(0.35, 4.65, 10)
     errors = {}
     for m in (4, 8, 16, 32):
-        bf = bump_field(BUMP_MODEL, m, KERNEL)
+        bf = BumpField(BUMP_MODEL, m, KERNEL)
         errors[m] = np.array(
             [abs(bf.predict([x], nodes_per_axis=24) - BUMP_MODEL.predict([x])) for x in probes]
         )

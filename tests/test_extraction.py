@@ -14,7 +14,6 @@ from sparsekern import (
     find_peaks,
     fit,
     gen_remark1,
-    predict_discrete,
     refit_amplitudes,
 )
 from sparsekern import kernels
@@ -106,9 +105,9 @@ def test_refit_never_beats_zero_baseline_backwards():
 
 
 def test_predict_discrete_values():
-    assert predict_discrete(DiscreteModel.empty(1), [1.0]) == 0.0
+    assert DiscreteModel.empty(1).predict([1.0]) == 0.0
     single = DiscreteModel(np.array([1.0]), np.array([[2.0]]), np.array([0.7]))
-    assert predict_discrete(single, [2.0]) == 1.0
+    assert single.predict([2.0]) == 1.0
     rng = np.random.default_rng(7)
     model = DiscreteModel(rng.normal(0, 1, 5), rng.uniform(0, 5, (5, 1)), rng.uniform(0.4, 1.5, 5))
     x = np.array([1.3])
@@ -116,7 +115,7 @@ def test_predict_discrete_values():
         a * np.exp(-np.sum((x - z) ** 2) / (2 * w**2))
         for a, z, w in zip(model.amplitudes, model.centers, model.widths)
     )
-    assert predict_discrete(model, x) == pytest.approx(oracle, abs=1e-12)
+    assert model.predict(x) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_polish_reduces_training_sse():

@@ -15,7 +15,6 @@ from sparsekern import (
     Quadrature,
     SampleSet,
     SolverConfig,
-    bump_field,
     dual_objective,
     fit,
     gen_mixed_gauss,
@@ -24,7 +23,7 @@ from sparsekern import (
 )
 from sparsekern import kernels
 from sparsekern import losses as losses_mod
-from sparsekern.dual_field import monte_carlo_nodes, quadrature_nodes
+from sparsekern.dual_field import BumpField, monte_carlo_nodes, quadrature_nodes
 from sparsekern import solver as solver_mod
 from sparsekern.errors import ConfigError, DivergenceError, DomainError
 from sparsekern.models import DiscreteModel
@@ -123,7 +122,7 @@ def test_weak_duality_against_feasible_bump():
     loss = Loss("quadratic_eps", 0.05, 10.0)
     gamma = 0.3
     prob = Problem(data, KERNEL, loss, ProblemVariant.full(), gamma)
-    bf = bump_field(model, 24, KERNEL)
+    bf = BumpField(model, 24, KERNEL)
     preds = np.array([bf.predict(x) for x in data.X])
     assert np.all(losses_mod.value(loss, preds, data.y) <= 0.0)
     height = bf.height
@@ -270,40 +269,53 @@ def test_solver_config_validation():
             SolverConfig.from_dict({"gamma": 1.0, "iters": 10, key: 1})
 
 
+def assert_certificate_terms_match_the_dense_pass(op, K, wts, lam, share):
+    """certificate_terms at a gamma with ``share`` of the nodes on the support, vs K (w s 1_on)."""
+    N, G = K.shape
+    exact = K.T @ lam
+    a = np.sort(np.abs(exact))
+    # tau midway between two neighbouring |s|: no node sits near it
+    off = G - round(share * G)
+    tau = 2.0 * a[-1] if off == G else 0.5 * a[0] if off == 0 else 0.5 * (a[off - 1] + a[off])
+    gamma = 0.5 * tau * tau
+    mass, sq, support, yhat = op.certificate_terms(op.surface(lam), gamma)
+    on = np.abs(exact) > tau
+    ws = wts * exact
+    assert support == np.count_nonzero(on) / G
+    assert abs(mass - wts @ on) <= G * EPS * wts.sum()
+    assert abs(sq - (ws * on) @ exact) <= G * EPS * (ws @ exact)
+    # the complement form subtracts from A lam: its error grows with |K| w |K^T| |lam|
+    scale = np.abs(K) @ (wts * (np.abs(K.T) @ np.abs(lam))) + np.abs(ws).sum()
+    assert np.all(np.abs(yhat - K @ (ws * on)) <= (N + G) * EPS * scale)
+
+
 def test_streamed_kernel_matrix_matches_the_held_one(monkeypatch):
     data = gen_remark1(7, 13)
     Z, W, wts = quadrature_nodes(KERNEL, ProblemVariant.full(), Quadrature(40, 8))
     K = kernels.cross(KERNEL, data.X, Z, W)
-    held = solver_mod._NodeMatrix(KERNEL, data.X, Z, W)
-    # at most 7 * 45 entries per chunk: 8 chunks of the 320 nodes
-    monkeypatch.setattr(solver_mod, "_PRECOMPUTE_LIMIT", 7 * 45)
-    streamed = solver_mod._NodeMatrix(KERNEL, data.X, Z, W)
     # gather even at this size, which a full pass would otherwise serve
     monkeypatch.setattr(solver_mod, "_GATHER_MIN_ENTRIES", 0)
-    assert held._rows is not None and streamed._rows is None
+    held = solver_mod._NodeMatrix(KERNEL, data.X, Z, W, wts)
+    # at most 7 * 45 entries per chunk: 8 chunks of the 320 nodes
+    monkeypatch.setattr(solver_mod, "_PRECOMPUTE_LIMIT", 7 * 45)
+    streamed = solver_mod._NodeMatrix(KERNEL, data.X, Z, W, wts)
+    assert held._rows is not None and held._basis is None and streamed._rows is None
     lam, v = np.linspace(-1.0, 1.0, 7), np.cos(np.arange(320.0))
-    # a multiplier of norm 1e4, on all but the 60 nodes where its |abar| is least
+    # a multiplier of norm 1e4
     big = np.cos(3.0 * np.arange(7.0))
     big *= 1e4 / np.linalg.norm(big)
-    on_most = np.ones(320, dtype=bool)
-    on_most[np.argsort(np.abs(K.T @ big))[:60]] = False
     for op in (held, streamed):
-        assert np.allclose(op.rmatvec(lam), K.T @ lam, rtol=1e-13, atol=1e-13)
+        assert np.allclose(op.surface(lam).s, K.T @ lam, rtol=1e-13, atol=1e-13)
+        assert op.surface(lam).scale == 0.0
         assert np.allclose(op.matvec(v), K @ v, rtol=1e-13, atol=1e-13)
         # the step 1/L rests on the exact spectral norm of K diag(w) K^T
-        assert op.norm(wts) == pytest.approx(np.linalg.norm((K * wts) @ K.T, 2), rel=1e-12)
-        # yhat = K (w s 1_S): gathered support, full pass, gathered complement
-        ws = wts * (K.T @ lam)
-        for size in (0, 50, 80, 160, 240, 270, 320):
-            on = np.zeros(320, dtype=bool)
-            on[np.random.default_rng(size).permutation(320)[:size]] = True
-            want = K @ (ws * on)
-            assert np.allclose(op.support_matvec(lam, ws, on), want, rtol=1e-12, atol=1e-12)
-        # the complement form subtracts from A lam: its error grows with ||A|| ||lam||
-        ws_big = wts * (K.T @ big)
-        want = K @ (ws_big * on_most)
-        err = np.linalg.norm(op.support_matvec(big, ws_big, on_most) - want)
-        assert err <= 1e-9 * np.linalg.norm(want)
+        assert op.lipschitz == pytest.approx(np.linalg.norm((K * wts) @ K.T, 2), rel=1e-12)
+        # gathered support, full pass, gathered complement
+        for share in (0.0, 0.15, 0.25, 0.5, 0.75, 0.85, 1.0):
+            assert_certificate_terms_match_the_dense_pass(op, K, wts, lam, share)
+        assert_certificate_terms_match_the_dense_pass(op, K, wts, big, 0.8)
+    # a streamed K keeps no block of rows across steps
+    assert held._block is not None and streamed._block is None
 
 
 def test_hinge_needs_plus_minus_one_labels():
@@ -319,13 +331,13 @@ EPS = np.finfo(float).eps
 
 
 def cli_fit_operator(seed):
-    """The 300-point, 96 x 32 problem of the cli_fit benchmark: (op after norm, K, wts, L)."""
+    """The 300-point, 96 x 32 problem of the cli_fit benchmark: (op, K, wts, L)."""
     data, _ = gen_mixed_gauss(10, 0.453, 300, np.sqrt(1e-3), seed)
     kernel = KernelSpec(w_lo=0.1, w_hi=1.0, box=data.box)
     Z, W, wts = quadrature_nodes(kernel, ProblemVariant.full(), Quadrature(96, 32))
-    op = solver_mod._NodeMatrix(kernel, data.X, Z, W)
+    op = solver_mod._NodeMatrix(kernel, data.X, Z, W, wts)
     K = kernels.cross(kernel, data.X, Z, W)
-    return op, K, wts, op.norm(wts)
+    return op, K, wts, op.lipschitz
 
 
 def test_factored_products_match_the_dense_ones_within_rounding():
@@ -336,16 +348,11 @@ def test_factored_products_match_the_dense_ones_within_rounding():
     assert L == pytest.approx(np.linalg.norm((K * wts) @ K.T, 2), rel=1e-12)
     rng = np.random.default_rng(0)
     lam, v = rng.normal(0.0, 1.0, N), rng.normal(0.0, 1.0, G)
-    bound = N * EPS
-    assert np.all(np.abs(op.rmatvec(lam) - K.T @ lam) <= bound * (np.abs(K.T) @ np.abs(lam)))
-    assert np.all(np.abs(op.matvec(v) - K @ v) <= bound * (np.abs(K) @ np.abs(v)))
-    # yhat = K (w s 1_S): gathered support, full pass, gathered complement
-    ws = wts * (K.T @ lam)
+    assert np.all(np.abs(op.matvec(v) - K @ v) <= N * EPS * (np.abs(K) @ np.abs(v)))
+    assert op.surface(lam).s.dtype == np.float32
+    # gathered support, the exact pass classified again, gathered complement
     for share in (0.0, 0.05, 0.2, 0.5, 0.8, 1.0):
-        on = np.zeros(G, dtype=bool)
-        on[rng.permutation(G)[: round(share * G)]] = True
-        got = op.support_matvec(lam, ws, on)
-        assert np.all(np.abs(got - K @ (ws * on)) <= bound * (np.abs(K) @ np.abs(ws * on)))
+        assert_certificate_terms_match_the_dense_pass(op, K, wts, lam, share)
 
 
 @pytest.mark.parametrize("seed", [1, 41, 42, 43])
@@ -395,8 +402,7 @@ def test_factoring_rule_keeps_the_desk_studies_dense_and_factors_cli_fit():
     for name, train, kernel, variant, config in _desk_problems():
         quad = Quadrature(config.center_nodes, config.width_nodes)
         Z, W, wts = quadrature_nodes(kernel, variant, quad)
-        op = solver_mod._NodeMatrix(kernel, train.X, Z, W)
-        op.norm(wts)
+        op = solver_mod._NodeMatrix(kernel, train.X, Z, W, wts)
         assert op._basis is None and op._rows.shape == (Z.shape[0], train.n), name
     assert cli_fit_operator(1)[0]._basis is not None
 
@@ -437,7 +443,7 @@ def _cli_fit_operator_seed1():
     seed=st.integers(0, 2**32 - 1),
     size=st.floats(-2.0, 2.0),
     beta=st.floats(0.0, 1.0, exclude_max=True),
-    place=st.sampled_from(["anywhere", "near", "between"]),
+    place=st.sampled_from(["anywhere", "near", "between", "least"]),
     node=st.integers(0, 96 * 32 - 1),
     offset=st.floats(-1e-9, 1e-9),
 )
@@ -453,26 +459,28 @@ def test_float32_classification_equals_the_float64_pass(seed, size, beta, place,
         # rescale both points so that node's abar at the extrapolated point is tau + offset
         at_node = K[:, node] @ (lam + beta * (lam - lam_prev))
         lam, lam_prev = ((tau + offset) / abs(at_node)) * np.array([lam, lam_prev])
-    point = lam + beta * (lam - lam_prev)
     here, prev = op.surface(lam), op.surface(lam_prev)
     surf = op.extrapolate(here, prev, beta)
     assert surf.s.dtype == np.float32
     # the extrapolated point carries the bound of both passes
     assert surf.scale == ((1.0 + beta) * here.scale + beta * prev.scale if beta else here.scale)
-    if place == "between":
+    if place == "least":
+        # the node of least |abar|: its float32 error, set by scale, is largest beside tau
+        node = int(np.argmin(np.abs(op._rows @ surf.u)))
+    if place in ("between", "least"):
         # the threshold between node's float32 and float64 values: float32 alone errs there
         tau = 0.5 * (abs(float(surf.s[node])) + abs(op._rows[node] @ surf.u))
         gamma = 0.5 * tau * tau
     exact = op._rows @ surf.u  # the float64 pass
     on = np.abs(exact) > tau
-    gathered = op._gather_nodes(surf, gamma)
-    if gathered is not None:
+    block = op._gather(surf, gamma)
+    if block is not None:
         # off the gathered nodes the float32 decision is the float64 one
-        nodes, on_side = gathered
+        nodes, on_side, _ = block
         rest = np.ones(G, dtype=bool)
         rest[nodes] = False
         assert np.all(on[rest] != on_side)
-    mass, sq, support, yhat = op.certificate_terms(point, surf, wts, gamma)
+    mass, sq, support, yhat = op.certificate_terms(surf, gamma)
     assert support == np.count_nonzero(on) / G
     ws = wts * exact
     assert abs(mass - wts @ on) <= N * EPS * wts.sum()
@@ -481,7 +489,7 @@ def test_float32_classification_equals_the_float64_pass(seed, size, beta, place,
     bound = N * EPS * (np.abs(K) @ np.abs(ws) + np.abs(ws).sum())
     assert np.all(np.abs(yhat - K @ (ws * on)) <= bound)
     integral = wts @ np.minimum(0.0, gamma - exact**2 / 2)
-    assert abs(op.integral(surf, wts, gamma) - integral) <= N * EPS * (ws @ exact)
+    assert abs(op.integral(surf, gamma) - integral) <= N * EPS * (ws @ exact)
 
 
 def test_float32_overflow_takes_the_float64_pass():
@@ -490,16 +498,16 @@ def test_float32_overflow_takes_the_float64_pass():
     N = K.shape[0]
     lam = 1e40 * np.cos(np.arange(N))
     surf = op.surface(lam)
-    assert surf.scale is None and surf.s.dtype == np.float64
+    assert surf.scale == 0.0 and surf.s.dtype == np.float64
     assert np.allclose(surf.s, K.T @ lam, rtol=1e-12, atol=1e-12 * np.abs(K.T @ lam).max())
     mixed = op.extrapolate(surf, op.surface(lam / 1e40), 0.5)
-    assert mixed.scale is None
+    assert mixed.scale == 0.0
     for point in (surf, mixed):
         on = np.abs(point.s) > np.sqrt(0.4)
-        mass, _, support, _ = op.certificate_terms(lam, point, wts, 0.2)
+        mass, _, support, _ = op.certificate_terms(point, 0.2)
         assert support == np.count_nonzero(on) / on.size and mass == pytest.approx(wts @ on)
     nan = op.surface(np.full(N, np.nan))
-    assert nan.scale is None and np.all(np.isnan(nan.s))
+    assert nan.scale == 0.0 and np.all(np.isnan(nan.s))
 
 
 def test_float32_pass_reads_only_the_columns_float32_resolves():
@@ -510,49 +518,79 @@ def test_float32_pass_reads_only_the_columns_float32_resolves():
     assert 0 < q < r
     # the dropped tail is below float32's resolution of the largest row ...
     assert np.linalg.norm(M[:, q:], axis=1).max() <= 2.0**-24 * R
-    assert op._tail_norm == pytest.approx(np.linalg.norm(M[:, q:], axis=1).max(), rel=1e-12)
     # ... and q is the fewest columns for which it is
     assert np.linalg.norm(M[:, q - 1 :], axis=1).max() > 2.0**-24 * R
+
+
+def test_dropped_tail_is_within_the_float32_bound():
+    # q's rule gives R_tail ||u[q:]|| <= 2^-24 R ||u|| = 2^-24 scale, which
+    # the second gamma_{q+6} scale of the bound covers
+    op, _, _, _ = _cli_fit_operator_seed1()
+    M = op._rows
+    q, r = op._cols32.shape[0], M.shape[1]
+    tail = np.linalg.norm(M[:, q:], axis=1).max()
+    rng = np.random.default_rng(4)
+    heavy = np.zeros(r)
+    heavy[q:] = rng.normal(0.0, 1.0, r - q)
+    for u in (rng.normal(0.0, 1.0, r), heavy, np.eye(r)[-1], 1e30 * heavy):
+        surf = op._surface(u)
+        assert surf.s.dtype == np.float32
+        assert tail * np.linalg.norm(u[q:]) <= 2.0**-24 * surf.scale
+        assert tail * np.linalg.norm(u[q:]) <= (op._f32_rel / 2.0) * surf.scale
+
+
+def pii_full_operator():
+    """The dense 100-point, 6144-node problem of pii_full rep 0: (op, K, wts)."""
+    from sparsekern import experiments as ex
+
+    train, _ = ex._mixed_gauss_draw(0, 100, 500)
+    config = ex.PII_FULL_CONFIG
+    quad = Quadrature(config.center_nodes, config.width_nodes)
+    Z, W, wts = quadrature_nodes(ex.MIXED_KERNEL, ProblemVariant.full(), quad)
+    op = solver_mod._NodeMatrix(ex.MIXED_KERNEL, train.X, Z, W, wts)
+    return op, kernels.cross(ex.MIXED_KERNEL, train.X, Z, W), wts
 
 
 def test_kept_block_gives_the_float64_terms_along_a_sequence_of_surfaces():
     # the kept block is state: one operator goes through surfaces that reuse
     # it, gather it again on the same side, and switch between the support
-    # and its complement; every call must give the float64 pass's terms
-    op, K, wts, _ = cli_fit_operator(7)
-    N, G = K.shape
-    gamma = 0.2
-    tau = np.sqrt(2.0 * gamma)
-    lam0 = np.random.default_rng(3).normal(0.0, 1.0, N)
-    a0 = np.abs(K.T @ lam0)
-    # a scale that puts a share p of the nodes on the support; a step of
-    # 0.1% moves few nodes, one from 5% to 20% moves needed nodes out of the
-    # block, and every side stays within G/4 nodes
-    scales = [tau / np.quantile(a0, 1.0 - p) for p in (0.05, 0.2, 0.95, 0.8, 0.05)]
-    scales = [c * f for c in scales for f in (1.0, 1.001)][:-1]
-    events = []
-    for c in scales:
-        lam = c * lam0
-        surf = op.surface(lam)
-        assert surf.scale is not None
-        before = op._block
-        mass, sq, support, yhat = op.certificate_terms(lam, surf, wts, gamma)
-        block = op._block
-        if block is before:
-            events.append("reuse")
-        elif before is not None and before.on_side == block.on_side:
-            events.append("regather")
-        else:
-            events.append("new side")
-        exact = op._rows @ surf.u  # the float64 pass
-        on = np.abs(exact) > tau
-        rest = np.ones(G, dtype=bool)
-        rest[block.nodes] = False
-        assert np.all(on[rest] != block.on_side)
-        ws = wts * exact
-        assert support == np.count_nonzero(on) / G
-        assert abs(mass - wts @ on) <= N * EPS * wts.sum()
-        assert abs(sq - (ws * on) @ exact) <= N * EPS * (ws @ exact)
-        bound = N * EPS * (np.abs(K) @ np.abs(ws) + np.abs(ws).sum())
-        assert np.all(np.abs(yhat - K @ (ws * on)) <= bound)
-    assert events == ["new side", "reuse", "regather", "reuse"] * 2 + ["new side"]
+    # and its complement; every call must give the float64 pass's terms.
+    # Factored (cli_fit, float32 surfaces) and dense (pii_full, exact ones)
+    for op, K, wts in (cli_fit_operator(7)[:3], pii_full_operator()):
+        N, G = K.shape
+        assert (op._basis is None) == (G == 6144)
+        gamma = 0.2
+        tau = np.sqrt(2.0 * gamma)
+        lam0 = np.random.default_rng(3).normal(0.0, 1.0, N)
+        a0 = np.abs(K.T @ lam0)
+        # a scale that puts a share p of the nodes on the support; a step of
+        # 0.1% moves few nodes, one from 5% to 20% moves needed nodes out of
+        # the block, and every side stays within G/4 nodes
+        scales = [tau / np.quantile(a0, 1.0 - p) for p in (0.05, 0.2, 0.95, 0.8, 0.05)]
+        scales = [c * f for c in scales for f in (1.0, 1.001)][:-1]
+        events = []
+        for c in scales:
+            lam = c * lam0
+            surf = op.surface(lam)
+            assert surf.s.dtype == (np.float64 if op._basis is None else np.float32)
+            before = op._block
+            mass, sq, support, yhat = op.certificate_terms(surf, gamma)
+            block = op._block
+            if block is before:
+                events.append("reuse")
+            elif before is not None and before.on_side == block.on_side:
+                events.append("regather")
+            else:
+                events.append("new side")
+            exact = op._rows @ surf.u  # the float64 pass
+            on = np.abs(exact) > tau
+            rest = np.ones(G, dtype=bool)
+            rest[block.nodes] = False
+            assert np.all(on[rest] != block.on_side)
+            ws = wts * exact
+            assert support == np.count_nonzero(on) / G
+            assert abs(mass - wts @ on) <= N * EPS * wts.sum()
+            assert abs(sq - (ws * on) @ exact) <= N * EPS * (ws @ exact)
+            bound = N * EPS * (np.abs(K) @ np.abs(ws) + np.abs(ws).sum())
+            assert np.all(np.abs(yhat - K @ (ws * on)) <= bound)
+        assert events == ["new side", "reuse", "regather", "reuse"] * 2 + ["new side"]
