@@ -116,9 +116,12 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     data = datasets.load_csv(args.data)
     doc = load_json(args.model)
-    if "terms" not in doc:
+    if not isinstance(doc, dict) or "terms" not in doc:
         raise ConfigError(f"{args.model}: not a discrete model file")
-    model = DiscreteModel.from_dict(doc, dim=data.dim)
+    try:
+        model = DiscreteModel.from_dict(doc, dim=data.dim)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{args.model}: malformed model ({exc!r})") from None
     if model.dim != data.dim:
         raise ConfigError(f"{args.model}: model is {model.dim}-D, data is {data.dim}-D")
     resid = data.y - model.predict_batch(data.X)

@@ -51,20 +51,9 @@ class SampleSet(Document):
     def dim(self) -> int:
         return self.X.shape[1]
 
-    def subset(self, idx) -> "SampleSet":
-        idx = np.asarray(idx)
-        return SampleSet(self.X[idx], self.y[idx], self.box)
 
-
-def gen_mixed_gauss(
-    m: int,
-    w0: float,
-    n: int,
-    noise_sd: float,
-    seed: int,
-    box=((0.0, 3.0),),
-):
-    """Random superposition of m Gaussian bumps, sampled uniformly on the box.
+def gen_mixed_gauss(m: int, w0: float, n: int, noise_sd: float, seed: int):
+    """Random superposition of m Gaussian bumps, sampled uniformly on [0, 3].
 
     Amplitudes and bump centers are U(1, 2) per axis; additive Gaussian noise
     has the given standard deviation.  Returns the samples together with the
@@ -74,7 +63,7 @@ def gen_mixed_gauss(
         raise ConfigError("m and n must be >= 1")
     if not w0 > 0:
         raise ConfigError("w0 must be positive")
-    box = np.asarray(box, dtype=float)
+    box = np.array([[0.0, 3.0]])
     p = box.shape[0]
     rng = np.random.default_rng(seed)
     amps = rng.uniform(1.0, 2.0, size=m)
@@ -106,11 +95,11 @@ def gen_sin_squared(n: int, noise_sd: float, seed: int, grid: bool = True) -> Sa
     return SampleSet(x.reshape(-1, 1), y, np.array([[-5.0, 5.0]]))
 
 
-def gen_remark1(n: int, seed: int, exclusion: float = 0.05) -> SampleSet:
+def gen_remark1(n: int, seed: int) -> SampleSet:
     """Noiseless single-bump data y = exp(-(x - 2.5)^2 / 2) on [0, 5].
 
-    Sample locations avoid the bump's peak: every x_i is at least
-    ``exclusion`` away from 2.5.
+    Sample locations avoid the bump's peak: every x_i is at least 0.05
+    away from 2.5.
     """
     if n < 2:
         raise ConfigError("n must be >= 2")
@@ -118,26 +107,26 @@ def gen_remark1(n: int, seed: int, exclusion: float = 0.05) -> SampleSet:
     xs = []
     while len(xs) < n:
         draw = rng.uniform(0.0, 5.0, size=n)
-        xs.extend(draw[np.abs(draw - 2.5) >= exclusion].tolist())
+        xs.extend(draw[np.abs(draw - 2.5) >= 0.05].tolist())
     x = np.asarray(xs[:n])
     y = np.exp(-((x - 2.5) ** 2) / 2.0)
     return SampleSet(x.reshape(-1, 1), y, np.array([[0.0, 5.0]]))
 
 
-def save_csv(samples: SampleSet, path, label_column: str = "y") -> None:
-    """Write samples as ``x1,...,xp,y`` (or a custom label column name)."""
+def save_csv(samples: SampleSet, path) -> None:
+    """Write samples as ``x1,...,xp,y``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(samples.dim)] + [label_column])
+        writer.writerow([f"x{i + 1}" for i in range(samples.dim)] + ["y"])
         for xi, yi in zip(samples.X, samples.y):
             writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
 
 
-def load_csv(path, box=None) -> SampleSet:
+def load_csv(path) -> SampleSet:
     """Read a ``x1,...,xp,y`` (or ``...,label``) CSV into a SampleSet.
 
-    The domain box defaults to the per-axis data range, padded slightly so
-    boundary samples stay interior.
+    The domain box is the per-axis data range, padded slightly so boundary
+    samples stay interior.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -162,9 +151,7 @@ def load_csv(path, box=None) -> SampleSet:
         raise ConfigError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
     X, y = data[:, :-1], data[:, -1]
-    if box is None:
-        lo = X.min(axis=0)
-        hi = X.max(axis=0)
-        pad = np.maximum(0.05 * (hi - lo), 1e-6)
-        box = np.stack([lo - pad, hi + pad], axis=1)
-    return SampleSet(X, y, np.asarray(box, dtype=float))
+    lo = X.min(axis=0)
+    hi = X.max(axis=0)
+    pad = np.maximum(0.05 * (hi - lo), 1e-6)
+    return SampleSet(X, y, np.stack([lo - pad, hi + pad], axis=1))

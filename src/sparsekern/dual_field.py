@@ -23,7 +23,6 @@ from .datasets import SampleSet
 from .documents import Document, load_json, save_json
 from .errors import ConfigError, DomainError
 from .kernels import KernelSpec
-from .models import DiscreteModel
 
 VARIANT_KINDS = ("full", "fixed_width", "fixed_centers")
 
@@ -79,8 +78,8 @@ class ProblemVariant(Document):
 class Quadrature:
     """Tensor midpoint rule: nodes per center axis and on the width axis."""
 
-    center_nodes: int = 256
-    width_nodes: int = 64
+    center_nodes: int
+    width_nodes: int
 
     def __post_init__(self):
         if self.center_nodes < 1 or self.width_nodes < 1:
@@ -174,32 +173,6 @@ class AlphaField(Document):
     def threshold(self) -> float:
         return float(np.sqrt(2.0 * self.gamma))
 
-    def _check_query(self, z, w: float) -> np.ndarray:
-        z = np.asarray(z, dtype=float).ravel()
-        if z.shape[0] != self.kernel.dim:
-            raise DomainError("query center has the wrong dimension")
-        if not self.kernel.contains_center(z):
-            raise DomainError(f"center {z} outside the domain box")
-        if not self.kernel.contains_width(w):
-            raise DomainError(f"width {w} outside the width domain")
-        if self.variant.kind == "fixed_width" and abs(w - self.variant.w0) > 1e-9:
-            raise DomainError("fixed-width field only defined at w0")
-        if self.variant.kind == "fixed_centers":
-            d = np.min(np.sum((self.variant.centers - z[None, :]) ** 2, axis=1))
-            if d > 1e-18:
-                raise DomainError("query center is not one of the candidates")
-        return z
-
-    def coeff_smooth(self, z, w: float) -> float:
-        """Kernel expansion sum_i lambda_i k(x_i, z; w) before thresholding."""
-        z = self._check_query(z, w)
-        return float(np.dot(self.lam, kernels.value_batch(self.kernel, self.samples.X, z, w)))
-
-    def coeff(self, z, w: float) -> float:
-        """The solution field: coeff_smooth hard-thresholded at sqrt(2 gamma)."""
-        v = self.coeff_smooth(z, w)
-        return v if abs(v) > self.threshold else 0.0
-
     def smooth_at_nodes(self, Z, W) -> np.ndarray:
         K = kernels.cross(self.kernel, self.samples.X, Z, W)
         return K.T @ self.lam
@@ -224,10 +197,6 @@ class AlphaField(Document):
         gw = (M * d2).sum(axis=0) / W**3
         return vals, gz, gw
 
-    def predict(self, x, quad: Quadrature) -> float:
-        """Integral of alpha * k(x, .) over the variant's domain, by the midpoint rule."""
-        return float(self.predict_batch(np.asarray(x, dtype=float).reshape(1, -1), quad)[0])
-
     def predict_batch(self, X, quad: Quadrature) -> np.ndarray:
         Z, W, wts = quadrature_nodes(self.kernel, self.variant, quad)
         vals = self.coeff_at_nodes(Z, W)
@@ -240,76 +209,3 @@ class AlphaField(Document):
     @classmethod
     def load(cls, path) -> "AlphaField":
         return cls.from_dict(load_json(path))
-
-
-@dataclass(frozen=True, eq=False)
-class BumpField:
-    """Piecewise-constant coefficient field made of unit-mass box bumps.
-
-    Each model term (a_j, z_j, w_j) contributes a product of 1-D bumps
-    (m/2) * 1[|t| < 1/m] centered at its parameters, so each bump carries
-    total mass a_j and the field's prediction converges to the model's as
-    m grows.
-    """
-
-    model: DiscreteModel
-    m: int
-    kernel: KernelSpec
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise DomainError("m must be >= 1")
-        half = 1.0 / self.m
-        box = self.kernel.box
-        for z, w in zip(self.model.centers, self.model.widths):
-            if np.any(z - half < box[:, 0]) or np.any(z + half > box[:, 1]):
-                raise DomainError("bump support escapes the center box")
-            if w - half < self.kernel.w_lo or w + half > self.kernel.w_hi:
-                raise DomainError("bump support escapes the width domain")
-
-    @property
-    def height(self) -> float:
-        p = self.model.dim
-        return (self.m / 2.0) ** (p + 1)
-
-    def value(self, z, w: float) -> float:
-        z = np.asarray(z, dtype=float).ravel()
-        half = 1.0 / self.m
-        total = 0.0
-        for a, zj, wj in zip(self.model.amplitudes, self.model.centers, self.model.widths):
-            if abs(w - wj) < half and np.all(np.abs(z - zj) < half):
-                total += a * self.height
-        return total
-
-    def value_at_nodes(self, Z, W) -> np.ndarray:
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        W = np.asarray(W, dtype=float).ravel()
-        half = 1.0 / self.m
-        out = np.zeros(Z.shape[0])
-        for a, zj, wj in zip(self.model.amplitudes, self.model.centers, self.model.widths):
-            inside = (np.abs(W - wj) < half) & np.all(np.abs(Z - zj[None, :]) < half, axis=1)
-            out[inside] += a * self.height
-        return out
-
-    def integral(self) -> float:
-        """Total mass of the field: exactly sum_j a_j for interior supports."""
-        return float(np.sum(self.model.amplitudes))
-
-    def predict(self, x, nodes_per_axis: int = 16) -> float:
-        """Integral of the field against k(x, .), one sub-grid per bump."""
-        x = np.asarray(x, dtype=float).ravel()
-        half = 1.0 / self.m
-        total = 0.0
-        for a, zj, wj in zip(self.model.amplitudes, self.model.centers, self.model.widths):
-            axes = [
-                _midpoints(c - half, c + half, nodes_per_axis)[0]
-                for c in np.append(zj, wj)
-            ]
-            cell = (2.0 * half / nodes_per_axis) ** (len(axes))
-            mesh = np.meshgrid(*axes, indexing="ij")
-            flat = [m.ravel() for m in mesh]
-            Z = np.stack(flat[:-1], axis=1)
-            W = flat[-1]
-            kx = kernels.cross(self.kernel, x.reshape(1, -1), Z, W)[0]
-            total += a * self.height * cell * np.sum(kx)
-        return float(total)

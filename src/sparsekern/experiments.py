@@ -8,10 +8,14 @@ Each experiment mirrors one study from the evaluation protocol:
     komp_sparsity     fixed-width sparse fit vs error-matched KOMP
     sample_stability  varying-smoothness signal across sample sizes
 
+All five run through one loop, ``run_experiment``.  A study's entry in
+``_STUDIES`` holds its rep function, the third argument of each rep at each
+scale, and the summary of the rep rows.  ``rep((scale, seed, k))`` returns
+one CSV row: k is the repetition index, whose seed is seed + k, or for
+sample_stability the sample size.  Results do not depend on the worker
+count; SPARSEKERN_THREADS, an integer of at least 1, caps the process pool.
 ``desk`` scale runs in minutes with reduced repetition counts; ``paper``
-scale uses the published settings.  Repetitions derive their seed as
-seed + repetition index, so results do not depend on worker count
-(SPARSEKERN_THREADS caps the process pool).
+scale uses the published settings.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baselines, datasets, extraction, solver
+from . import baselines, datasets, extraction, losses, solver
 from .dual_field import ProblemVariant
 from .errors import ConfigError
 from .kernels import KernelSpec
@@ -42,10 +46,14 @@ class ExperimentResult:
 
 
 def _worker_count() -> int:
+    text = os.environ.get("SPARSEKERN_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("SPARSEKERN_THREADS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"SPARSEKERN_THREADS must be an integer >= 1, got {text!r}")
+    return workers
 
 
 def _map(fn, args_list):
@@ -61,29 +69,21 @@ def _mse(model, samples) -> float:
     return float(np.mean(r**2))
 
 
-def _fit_loss(train) -> Loss:
-    """quadratic_eps at slack 1e-3, clamped at 10x the label range (at least 10)."""
-    return Loss(
-        kind="quadratic_eps", epsilon=1e-3, clamp_radius=10.0 * max(1.0, float(np.ptp(train.y)))
-    )
-
-
 # ---------------------------------------------------------------------------
 # remark1: a single Gaussian bump centered off the sample grid
 # ---------------------------------------------------------------------------
 
 REMARK1_KERNEL = KernelSpec(w_lo=0.5, w_hi=1.5, box=np.array([[0.0, 5.0]]))
-REMARK1_CONFIG = SolverConfig(
-    gamma=0.2, iters=2_000, center_nodes=1024, width_nodes=8, trace_every=500
-)
-# equals _fit_loss on remark1 data (ptp(y) < 1); the benchmark mirror reads
-# it; delete with the next benchmark change
+REMARK1_CONFIG = SolverConfig(gamma=0.2, iters=2_000, center_nodes=1024, width_nodes=8)
+# the study's loss but for clamp_radius, which the solver never reads; the
+# benchmark mirror reads it; delete with the next benchmark change
 REMARK1_LOSS = Loss(kind="quadratic_eps", epsilon=1e-3, clamp_radius=10.0)
 
 
-def run_remark1(scale: str = "desk", seed: int = 0) -> ExperimentResult:
-    train = datasets.gen_remark1(20, seed)
-    test = datasets.gen_remark1(400, seed + 10_000)
+def _remark1_rep(args):
+    _, seed, rep = args
+    train = datasets.gen_remark1(20, seed + rep)
+    test = datasets.gen_remark1(400, seed + rep + 10_000)
     variant = ProblemVariant.fixed_width(1.0)
 
     peaks = extraction.PeakConfig(grid_centers=128, grid_widths=4)
@@ -101,7 +101,7 @@ def run_remark1(scale: str = "desk", seed: int = 0) -> ExperimentResult:
             best = (m, nz, reg)
     ridge_mse, ridge_nonzero, ridge_reg = best
 
-    summary = {
+    return {
         "kernel_count": model.n_terms,
         "center_error": center_error,
         "test_mse": test_mse,
@@ -115,8 +115,6 @@ def run_remark1(scale: str = "desk", seed: int = 0) -> ExperimentResult:
         "ridge_nonzero": ridge_nonzero,
         "ridge_reg": ridge_reg,
     }
-    rows = [summary]
-    return ExperimentResult("remark1", rows, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +123,7 @@ def run_remark1(scale: str = "desk", seed: int = 0) -> ExperimentResult:
 
 MIXED_KERNEL = KernelSpec(w_lo=0.1, w_hi=1.0, box=np.array([[0.0, 3.0]]))
 MIXED_NOISE_SD = float(np.sqrt(1e-3))
-PII2_CONFIG = SolverConfig(gamma=5.0, iters=12_000, width_nodes=32, trace_every=2000, tol=1e-2)
+PII2_CONFIG = SolverConfig(gamma=5.0, iters=12_000, width_nodes=32, tol=1e-2)
 PII2_CONFIG_PAPER = SolverConfig(gamma=4000.0, iters=5000, width_nodes=48)
 # near-interpolating reg: the classical baseline carries hard fit constraints
 GRID_RIDGE_REG = 1e-6
@@ -143,7 +141,8 @@ def _mixed_gauss_draw(rep_seed: int, n_train: int, n_test: int):
 
 def _fit_extract(train, kernel, variant, config, peaks, polish_steps=0, refine_widths=False):
     """Certified fit, extract_model with ``peaks``, then polish_model: (state, model)."""
-    state, field = solver.fit(train, kernel, _fit_loss(train), variant, config)
+    loss = losses.default_loss("quadratic_eps", train.y)
+    state, field = solver.fit(train, kernel, loss, variant, config)
     model = extraction.extract_model(field, train, peaks)
     model = extraction.polish_model(model, train, kernel, polish_steps, refine_widths)
     return state, model
@@ -174,15 +173,13 @@ def _grid_vs_pii2_rep(args):
     return row
 
 
-def run_grid_vs_pii2(scale: str = "desk", seed: int = 0) -> ExperimentResult:
-    reps = 50 if scale == "desk" else 1000
-    rows = _map(_grid_vs_pii2_rep, [(scale, seed, r) for r in range(reps)])
+def _grid_vs_pii2_summary(rows) -> dict:
     summary = _summarize(rows)
     grid_means = [summary[f"grid_mse_w{w:g}_mean"] for w in GRID_WIDTHS]
     summary["best_grid_mse"] = min(grid_means)
     summary["best_grid_w"] = GRID_WIDTHS[int(np.argmin(grid_means))]
     summary["mse_ratio_vs_best_grid"] = summary["pii2_mse_mean"] / summary["best_grid_mse"]
-    return ExperimentResult("grid_vs_pii2", rows, summary)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +187,7 @@ def run_grid_vs_pii2(scale: str = "desk", seed: int = 0) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 PII_FULL_CONFIG = SolverConfig(
-    gamma=0.2, iters=2_000, center_nodes=192, width_nodes=32, trace_every=2000,
+    gamma=0.2, iters=2_000, center_nodes=192, width_nodes=32,
     # eps equals the noise variance: no lambda gets below ~4e-3 violation here
     tol=1e-2,
 )
@@ -219,16 +216,14 @@ def _pii_full_rep(args):
     }
 
 
-def run_pii_full(scale: str = "desk", seed: int = 0) -> ExperimentResult:
-    reps = 10 if scale == "desk" else 1000
-    rows = _map(_pii_full_rep, [(scale, seed, r) for r in range(reps)])
+def _pii_full_summary(rows) -> dict:
     numeric = [{k: v for k, v in r.items() if k != "widths"} for r in rows]
     summary = _summarize(numeric)
     widths = [float(w) for r in rows if r["widths"] for w in r["widths"].split(";")]
     hist, edges = np.histogram(widths, bins=np.linspace(0.1, 1.0, 10))
     summary["width_hist"] = ";".join(str(int(h)) for h in hist)
     summary["width_hist_edges"] = ";".join(f"{e:.2f}" for e in edges)
-    return ExperimentResult("pii_full", rows, summary)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +232,7 @@ def run_pii_full(scale: str = "desk", seed: int = 0) -> ExperimentResult:
 
 KOMP_KERNEL = KernelSpec(w_lo=0.1, w_hi=1.0, box=np.array([[0.0, 3.0]]))
 KOMP_SPARSITY_CONFIG = SolverConfig(
-    gamma=5.0, iters=40_000, center_nodes=256, width_nodes=8, trace_every=10_000, tol=1e-2
+    gamma=5.0, iters=40_000, center_nodes=256, width_nodes=8, tol=1e-2
 )
 KOMP_SPARSITY_CONFIG_PAPER = SolverConfig(gamma=30.0, iters=1000, center_nodes=256, width_nodes=8)
 KOMP_SUBDIVIDE_SPACING = 0.6
@@ -269,12 +264,10 @@ def _komp_sparsity_rep(args):
     }
 
 
-def run_komp_sparsity(scale: str = "desk", seed: int = 0) -> ExperimentResult:
-    reps = 50 if scale == "desk" else 1000
-    rows = _map(_komp_sparsity_rep, [(scale, seed, r) for r in range(reps)])
+def _komp_sparsity_summary(rows) -> dict:
     summary = _summarize(rows)
     summary["fraction_sparser"] = float(np.mean([r["strictly_sparser"] for r in rows]))
-    return ExperimentResult("komp_sparsity", rows, summary)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +275,7 @@ def run_komp_sparsity(scale: str = "desk", seed: int = 0) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 SIN_KERNEL = KernelSpec(w_lo=0.15, w_hi=2.0, box=np.array([[-5.0, 5.0]]))
-SIN_CONFIG = SolverConfig(
-    gamma=0.5, iters=40_000, center_nodes=384, width_nodes=24, trace_every=10_000, tol=1e-2
-)
+SIN_CONFIG = SolverConfig(gamma=0.5, iters=40_000, center_nodes=384, width_nodes=24, tol=1e-2)
 SIN_CONFIG_PAPER = SolverConfig(gamma=2.0, iters=1000, center_nodes=384, width_nodes=24)
 SIN_NOISE_SD = float(np.sqrt(1e-3))
 SIN_POLISH_STEPS = 30
@@ -321,9 +312,7 @@ def _sample_stability_rep(args):
     }
 
 
-def run_sample_stability(scale: str = "desk", seed: int = 0) -> ExperimentResult:
-    sizes = (51, 101, 201) if scale == "desk" else (51, 101, 201, 301, 401, 501)
-    rows = _map(_sample_stability_rep, [(scale, seed, n) for n in sizes])
+def _sample_stability_summary(rows) -> dict:
     summary = {}
     for r in rows:
         for k, v in r.items():
@@ -336,27 +325,38 @@ def run_sample_stability(scale: str = "desk", seed: int = 0) -> ExperimentResult
     summary["komp_mse_increasing"] = int(
         all(rows[i]["komp_mse"] < rows[i + 1]["komp_mse"] for i in range(len(rows) - 1))
     )
-    return ExperimentResult("sample_stability", rows, summary)
+    return summary
 
 
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "remark1": run_remark1,
-    "grid_vs_pii2": run_grid_vs_pii2,
-    "pii_full": run_pii_full,
-    "komp_sparsity": run_komp_sparsity,
-    "sample_stability": run_sample_stability,
+# per study: rep function, the third argument of its reps by scale, summary
+_STUDIES = {
+    "remark1": (_remark1_rep, {"desk": (0,), "paper": (0,)}, lambda rows: rows[0]),
+    "grid_vs_pii2": (
+        _grid_vs_pii2_rep, {"desk": range(50), "paper": range(1000)}, _grid_vs_pii2_summary
+    ),
+    "pii_full": (_pii_full_rep, {"desk": range(10), "paper": range(1000)}, _pii_full_summary),
+    "komp_sparsity": (
+        _komp_sparsity_rep, {"desk": range(50), "paper": range(1000)}, _komp_sparsity_summary
+    ),
+    "sample_stability": (
+        _sample_stability_rep,
+        {"desk": (51, 101, 201), "paper": (51, 101, 201, 301, 401, 501)},
+        _sample_stability_summary,
+    ),
 }
-EXPERIMENT_IDS = tuple(_RUNNERS)
+EXPERIMENT_IDS = tuple(_STUDIES)
 
 
 def run_experiment(exp_id: str, scale: str = "desk", seed: int = 0, outdir=None) -> ExperimentResult:
-    if exp_id not in _RUNNERS:
+    if exp_id not in _STUDIES:
         raise ConfigError(f"unknown experiment {exp_id!r}; choose from {EXPERIMENT_IDS}")
     if scale not in ("desk", "paper"):
         raise ConfigError("scale must be 'desk' or 'paper'")
-    result = _RUNNERS[exp_id](scale=scale, seed=seed)
+    rep, thirds, summarize = _STUDIES[exp_id]
+    rows = _map(rep, [(scale, seed, k) for k in thirds[scale]])
+    result = ExperimentResult(exp_id, rows, summarize(rows))
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
         _write_csv(os.path.join(outdir, f"{exp_id}_runs.csv"), result.rows)

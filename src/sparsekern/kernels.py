@@ -1,4 +1,4 @@
-"""Gaussian kernel family: evaluation, batching, and analytic derivatives.
+"""Gaussian kernel family: its parameter domain and its kernel matrices.
 
 All estimators in this package share the parametrized family
 
@@ -17,12 +17,10 @@ import numpy as np
 from .documents import Document
 from .errors import DomainError
 
-FAMILIES = ("gaussian",)
-
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec(Document):
-    """Kernel family plus the compact domain its parameters live on.
+    """The compact domain the Gaussian family's parameters live on.
 
     ``box`` is a (p, 2) array of per-axis [lo, hi] bounds for the centers;
     ``w_lo``/``w_hi`` bound the widths, with ``w_lo > 0`` so the kernel is
@@ -32,11 +30,8 @@ class KernelSpec(Document):
     w_lo: float
     w_hi: float
     box: np.ndarray
-    family: str = "gaussian"
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown kernel family {self.family!r}")
         if not np.isfinite([self.w_lo, self.w_hi]).all():
             raise DomainError(f"w_lo and w_hi must be finite, got {self.w_lo!r} and {self.w_hi!r}")
         if not (self.w_lo > 0 and self.w_hi >= self.w_lo):
@@ -57,14 +52,13 @@ class KernelSpec(Document):
     def dim(self) -> int:
         return self.box.shape[0]
 
-    def contains_center(self, z, tol: float = 1e-9) -> bool:
+    # both accept points up to 1e-9 outside the domain
+    def contains_center(self, z) -> bool:
         z = np.asarray(z, dtype=float)
-        return bool(
-            np.all(z >= self.box[:, 0] - tol) and np.all(z <= self.box[:, 1] + tol)
-        )
+        return bool(np.all(z >= self.box[:, 0] - 1e-9) and np.all(z <= self.box[:, 1] + 1e-9))
 
-    def contains_width(self, w: float, tol: float = 1e-9) -> bool:
-        return self.w_lo - tol <= w <= self.w_hi + tol
+    def contains_width(self, w: float) -> bool:
+        return self.w_lo - 1e-9 <= w <= self.w_hi + 1e-9
 
 
 def _check_width(spec: KernelSpec, w) -> None:
@@ -73,40 +67,6 @@ def _check_width(spec: KernelSpec, w) -> None:
         raise DomainError(
             f"width {w} outside domain [{spec.w_lo}, {spec.w_hi}]"
         )
-
-
-def value(spec: KernelSpec, x, z, w: float) -> float:
-    """k(x, z; w) for a single pair of points."""
-    _check_width(spec, w)
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    d2 = float(np.sum((x - z) ** 2))
-    return float(np.exp(-d2 / (2.0 * w * w)))
-
-
-def value_batch(spec: KernelSpec, X, z, w: float) -> np.ndarray:
-    """k(x_i, z; w) for each row x_i of X; elementwise equal to value()."""
-    _check_width(spec, w)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    z = np.asarray(z, dtype=float)
-    d2 = np.sum((X - z[None, :]) ** 2, axis=1)
-    return np.exp(-d2 / (2.0 * w * w))
-
-
-def grad(spec: KernelSpec, x, z, w: float):
-    """Analytic partials (dk/dz, dk/dw) of the Gaussian kernel.
-
-    dk/dz = k * (x - z) / w^2 and dk/dw = k * ||x - z||^2 / w^3.
-    """
-    _check_width(spec, w)
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    diff = x - z
-    d2 = float(np.sum(diff**2))
-    k = np.exp(-d2 / (2.0 * w * w))
-    dk_dz = k * diff / (w * w)
-    dk_dw = k * d2 / (w**3)
-    return dk_dz, float(dk_dw)
 
 
 def sqdist(X, Z) -> np.ndarray:

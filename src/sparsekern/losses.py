@@ -10,7 +10,7 @@ phi(lam) = max over mu >= 0 of min over yhat of  mu c(yhat, y) + lam yhat:
 
 (hinge labels are +-1; phi is -inf off the half-line).  ``inner_minimize``
 is the inner minimizer at a given mu, taken over [y - R, y + R] with R the
-clamp radius where that objective is unbounded below.
+clamp radius (10 unless set) where that objective is unbounded below.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ DEFAULT_EPSILON = {"quadratic_eps": 1e-3, "absolute_eps": 1e-3, "hinge_eps": 0.0
 class Loss(Document):
     kind: str
     epsilon: float
-    clamp_radius: float
+    clamp_radius: float = 10.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -42,15 +42,12 @@ class Loss(Document):
             raise DomainError(f"clamp_radius must be finite and positive, got {self.clamp_radius!r}")
 
 
-def default_loss(kind: str, y=None, epsilon: float | None = None) -> Loss:
-    """Loss with default slack and a clamp radius of 10x the label range."""
+def default_loss(kind: str, y, epsilon: float | None = None) -> Loss:
+    """Loss with default slack and a clamp radius of 10x the label range (at least 1)."""
     if epsilon is None:
         epsilon = DEFAULT_EPSILON[kind]
-    radius = 10.0
-    if y is not None:
-        y = np.asarray(y, dtype=float)
-        radius = max(10.0 * float(y.max() - y.min()), 1.0)
-    return Loss(kind=kind, epsilon=epsilon, clamp_radius=radius)
+    y = np.asarray(y, dtype=float)
+    return Loss(kind=kind, epsilon=epsilon, clamp_radius=max(10.0 * float(y.max() - y.min()), 1.0))
 
 
 def value(loss: Loss, yhat, y):

@@ -53,9 +53,6 @@ class DiscreteModel:
     def dim(self) -> int:
         return self.centers.shape[1]
 
-    def predict(self, x) -> float:
-        return float(self.predict_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
-
     def predict_batch(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.n_terms == 0:

@@ -93,6 +93,8 @@ _BLOCK_MARGIN = 0.1
 # extrapolated s + beta (s - s_prev), at most 3 R ||u|| in size, stay below
 # float32's largest value, 3.4e38
 _F32_SCALE_MAX = float(np.finfo(np.float32).max) / 16
+# g_trace and the trace file take every _TRACE_EVERY-th step and the last one
+_TRACE_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,6 @@ class SolverConfig(Document):
     tol: float = 1e-3
     center_nodes: int = 256
     width_nodes: int = 64
-    trace_every: int = 50
     # no field: the benchmark tracer reads it; delete with the next benchmark change
     integrator = "quadrature"
 
@@ -113,8 +114,6 @@ class SolverConfig(Document):
             raise ConfigError("iteration count must be >= 1")
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tol must be finite and positive, got {self.tol!r}")
-        if self.trace_every < 1:
-            raise ConfigError("trace_every must be >= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
@@ -575,7 +574,7 @@ def fit(
             writer.writerow(["t", "g", "rel_gap", "max_violation", "support_fraction"])
 
         def record(t, cert, final):
-            if t % config.trace_every == 0 or final:
+            if t % _TRACE_EVERY == 0 or final:
                 g_trace.append((t, cert.g))
                 if writer:
                     writer.writerow([t, cert.g, cert.rel_gap, max(0.0, cert.max_c), cert.support])

@@ -142,6 +142,46 @@ def test_unknown_kernel_or_loss_key_is_named(section, train_csv, tmp_path, capsy
     assert len(err) == 1 and err[0].startswith("error: ") and "'eps'" in err[0]
 
 
+def test_retired_kernel_family_key_is_named(train_csv, tmp_path, capsys):
+    # the Gaussian family is the only one; a family key is refused, not ignored
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kernel": dict(KERNEL_SECTION, family="gaussian")}))
+    argv = ["fit", train_csv, *FIT_FLAGS, "--config", str(config), "--out", str(tmp_path / "m.json")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'family'" in err[0]
+
+
+def test_loss_section_may_leave_out_clamp_radius(train_csv, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"loss": {"kind": "quadratic_eps", "epsilon": 0.01}}))
+    argv = ["fit", train_csv, *FIT_FLAGS, "--config", str(config), "--out", str(tmp_path / "m.json")]
+    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"dim": 1, "terms": [{"z": [1.0], "w": 0.5}]},
+        {"dim": 1, "terms": [{"a": "x", "z": [1.0], "w": 0.5}]},
+        {"dim": 1, "terms": 5},
+    ],
+)
+def test_eval_of_a_malformed_model_file_exits_2(model, train_csv, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert fails_with_one_error_line(["eval", str(path), train_csv], capsys)
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_count_exits_2_naming_the_variable(threads, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPARSEKERN_THREADS", threads)
+    assert cli.main(["experiment", "remark1", "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "SPARSEKERN_THREADS" in err[0]
+    assert not list(tmp_path.iterdir())
+
+
 def test_eval_of_a_field_file_exits_2(train_csv, tmp_path, capsys):
     out = str(tmp_path / "model.json")
     assert cli.main(["fit", train_csv, *FIT_FLAGS, "--out", out]) == 0
@@ -155,7 +195,9 @@ def test_eval_accuracy_metric_is_rejected(train_csv, tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("key", ["iter", "eta_mu", "integrator", "eta_lambda", "batch", "seed"])
+@pytest.mark.parametrize(
+    "key", ["iter", "eta_mu", "integrator", "eta_lambda", "batch", "seed", "trace_every"]
+)
 def test_unknown_or_retired_solver_key_exits_2(key, train_csv, tmp_path, capsys):
     # a typo and the settings of the retired supergradient and Monte Carlo
     # methods are refused, not ignored

@@ -77,7 +77,7 @@ def test_csv_round_trip(tmp_path):
     data, _ = gen_mixed_gauss(2, 0.5, 12, 0.01, seed=6)
     path = tmp_path / "d.csv"
     save_csv(data, path)
-    back = load_csv(path, box=data.box)
+    back = load_csv(path)
     assert np.array_equal(back.X, data.X)
     assert np.array_equal(back.y, data.y)
 

@@ -46,11 +46,11 @@ def test_peaks_exceed_threshold_and_are_local_maxima():
     field = AlphaField(data, rng.normal(0, 1, 8), 0.05, KERNEL, ProblemVariant.full())
     peaks = find_peaks(field, PeakConfig(grid_centers=64, grid_widths=16))
     for z, w in peaks:
-        v = abs(field.coeff_smooth(z, w))
+        v = abs(field.smooth_at_nodes(z.reshape(1, -1), w)[0])
         assert v > field.threshold
         for dz in (-1e-3, 1e-3):
             z2 = np.clip(z + dz, 0.0, 5.0)
-            assert abs(field.coeff_smooth(z2, w)) <= v + 1e-9
+            assert abs(field.smooth_at_nodes(z2.reshape(1, -1), w)[0]) <= v + 1e-9
 
 
 def test_remark1_extraction_recovers_single_center():
@@ -68,7 +68,7 @@ def test_refit_recovers_unit_amplitude():
     rng = np.random.default_rng(4)
     X = rng.uniform(0, 5, (30, 1))
     z0, w0 = np.array([2.2]), 0.9
-    y = kernels.value_batch(KERNEL, X, z0, w0)
+    y = kernels.cross(KERNEL, X, z0[None, :], w0)[:, 0]
     data = SampleSet(X, y, np.array([[0.0, 5.0]]))
     model = refit_amplitudes([(z0, w0)], data, KERNEL, ridge=0.0)
     assert model.amplitudes[0] == pytest.approx(1.0, abs=1e-6)
@@ -105,9 +105,9 @@ def test_refit_never_beats_zero_baseline_backwards():
 
 
 def test_predict_discrete_values():
-    assert DiscreteModel.empty(1).predict([1.0]) == 0.0
+    assert DiscreteModel.empty(1).predict_batch([[1.0]])[0] == 0.0
     single = DiscreteModel(np.array([1.0]), np.array([[2.0]]), np.array([0.7]))
-    assert single.predict([2.0]) == 1.0
+    assert single.predict_batch([[2.0]])[0] == 1.0
     rng = np.random.default_rng(7)
     model = DiscreteModel(rng.normal(0, 1, 5), rng.uniform(0, 5, (5, 1)), rng.uniform(0.4, 1.5, 5))
     x = np.array([1.3])
@@ -115,7 +115,7 @@ def test_predict_discrete_values():
         a * np.exp(-np.sum((x - z) ** 2) / (2 * w**2))
         for a, z, w in zip(model.amplitudes, model.centers, model.widths)
     )
-    assert model.predict(x) == pytest.approx(oracle, abs=1e-12)
+    assert model.predict_batch(x[None, :])[0] == pytest.approx(oracle, abs=1e-12)
 
 
 def test_polish_reduces_training_sse():
@@ -136,7 +136,8 @@ def test_polish_reduces_training_sse():
 
 
 def test_subdivided_peaks_single_blob_reduces_to_peak():
-    data = gen_remark1(2, 9).subset([0])
+    pair = gen_remark1(2, 9)
+    data = SampleSet(pair.X[:1], pair.y[:1], pair.box)
     field = AlphaField(data, np.array([2.0]), 0.5, KERNEL, ProblemVariant.fixed_width(1.0))
     peaks = subdivided_peaks(field, spacing_factor=1.0)
     assert len(peaks) == 1

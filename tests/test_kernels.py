@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from sparsekern import KernelSpec
 from sparsekern import kernels
 from sparsekern.errors import DomainError
@@ -17,25 +18,25 @@ def finite_diff_grad(spec, x, z, w, h=1e-5):
     for d in range(z.size):
         e = np.zeros_like(z)
         e[d] = h
-        gz[d] = (kernels.value(spec, x, z + e, w) - kernels.value(spec, x, z - e, w)) / (2 * h)
-    gw = (kernels.value(spec, x, z, w + h) - kernels.value(spec, x, z, w - h)) / (2 * h)
+        gz[d] = (reference.value(spec, x, z + e, w) - reference.value(spec, x, z - e, w)) / (2 * h)
+    gw = (reference.value(spec, x, z, w + h) - reference.value(spec, x, z, w - h)) / (2 * h)
     return gz, gw
 
 
 def test_value_at_zero_distance_is_one():
     for w in (0.05, 0.5, 3.0):
-        assert kernels.value(SPEC, [0.3, 0.4, 0.5], [0.3, 0.4, 0.5], w) == 1.0
+        assert reference.value(SPEC, [0.3, 0.4, 0.5], [0.3, 0.4, 0.5], w) == 1.0
 
 
 def test_value_at_distance_w():
     # ||x - z|| = w gives exp(-1/2)
-    v = kernels.value(SPEC, [0.0, 0.0, 0.0], [0.453, 0.0, 0.0], 0.453)
+    v = reference.value(SPEC, [0.0, 0.0, 0.0], [0.453, 0.0, 0.0], 0.453)
     assert v == pytest.approx(np.exp(-0.5), rel=1e-12)
     assert v == pytest.approx(0.60653, abs=1e-5)
 
 
 def test_value_unit_distance_narrow_width():
-    v = kernels.value(SPEC, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.453)
+    v = reference.value(SPEC, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.453)
     assert v == pytest.approx(np.exp(-1.0 / (2 * 0.453**2)), rel=1e-12)
     assert v == pytest.approx(0.0874, abs=1e-4)
 
@@ -45,28 +46,28 @@ def test_value_range_and_symmetry():
     for _ in range(50):
         x, z = rng.uniform(0, 1, 3), rng.uniform(0, 1, 3)
         w = rng.uniform(0.05, 3.0)
-        v = kernels.value(SPEC, x, z, w)
+        v = reference.value(SPEC, x, z, w)
         assert 0.0 < v <= 1.0
-        assert v == kernels.value(SPEC, z, x, w)
+        assert v == reference.value(SPEC, z, x, w)
 
 
 def test_width_outside_domain_raises():
     with pytest.raises(DomainError):
-        kernels.value(SPEC, [0.0, 0, 0], [1.0, 0, 0], 0.01)
+        reference.value(SPEC, [0.0, 0, 0], [1.0, 0, 0], 0.01)
     with pytest.raises(DomainError):
-        kernels.value_batch(SPEC, np.zeros((2, 3)), np.zeros(3), 4.0)
+        kernels.cross(SPEC, np.zeros((2, 3)), np.zeros((1, 3)), 4.0)
 
 
 def test_batch_single_element_matches_value():
-    v = kernels.value_batch(SPEC, np.array([[0.1, 0.2, 0.3]]), np.array([0.5, 0.5, 0.5]), 0.7)
-    assert v.shape == (1,)
-    assert v[0] == kernels.value(SPEC, [0.1, 0.2, 0.3], [0.5, 0.5, 0.5], 0.7)
+    v = kernels.cross(SPEC, np.array([[0.1, 0.2, 0.3]]), np.array([[0.5, 0.5, 0.5]]), 0.7)
+    assert v.shape == (1, 1)
+    assert v[0, 0] == reference.value(SPEC, [0.1, 0.2, 0.3], [0.5, 0.5, 0.5], 0.7)
 
 
 def test_batch_all_at_center_gives_ones():
     z = np.array([0.4, 0.4, 0.4])
     X = np.tile(z, (5, 1))
-    assert np.array_equal(kernels.value_batch(SPEC, X, z, 1.0), np.ones(5))
+    assert np.array_equal(kernels.cross(SPEC, X, z[None, :], 1.0)[:, 0], np.ones(5))
 
 
 def test_batch_matches_scalar_loop_exactly():
@@ -74,19 +75,19 @@ def test_batch_matches_scalar_loop_exactly():
     X = rng.uniform(0, 1, (32, 3))
     z = rng.uniform(0, 1, 3)
     w = 0.8
-    batch = kernels.value_batch(SPEC, X, z, w)
-    loop = np.array([kernels.value(SPEC, x, z, w) for x in X])
+    batch = kernels.cross(SPEC, X, z[None, :], w)[:, 0]
+    loop = np.array([reference.value(SPEC, x, z, w) for x in X])
     assert np.array_equal(batch, loop)
 
 
 def test_grad_zero_at_coincident_points():
-    gz, gw = kernels.grad(SPEC, [0.2, 0.2, 0.2], [0.2, 0.2, 0.2], 0.5)
+    gz, gw = reference.grad(SPEC, [0.2, 0.2, 0.2], [0.2, 0.2, 0.2], 0.5)
     assert np.all(gz == 0.0)
     assert gw == 0.0
 
 
 def test_grad_width_positive_off_center():
-    _, gw = kernels.grad(SPEC, [0.1, 0.0, 0.0], [0.6, 0.0, 0.0], 0.5)
+    _, gw = reference.grad(SPEC, [0.1, 0.0, 0.0], [0.6, 0.0, 0.0], 0.5)
     assert gw > 0.0
 
 
@@ -96,7 +97,7 @@ def test_grad_matches_finite_differences():
         x = rng.uniform(0, 1, 3)
         z = rng.uniform(0, 1, 3)
         w = rng.uniform(0.3, 2.0)
-        gz, gw = kernels.grad(SPEC, x, z, w)
+        gz, gw = reference.grad(SPEC, x, z, w)
         fz, fw = finite_diff_grad(SPEC, x, z, w)
         a = np.append(gz, gw)
         f = np.append(fz, fw)
@@ -115,10 +116,10 @@ def test_gram_positive_semidefinite():
 def test_continuity_in_center_and_width():
     x = np.array([0.3, 0.1, 0.9])
     z = np.array([0.6, 0.6, 0.2])
-    base = kernels.value(SPEC, x, z, 1.0)
+    base = reference.value(SPEC, x, z, 1.0)
     deltas = [1e-2, 1e-4, 1e-6]
     gaps = [
-        abs(kernels.value(SPEC, x, z + d, 1.0 + d) - base) for d in deltas
+        abs(reference.value(SPEC, x, z + d, 1.0 + d) - base) for d in deltas
     ]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-5
@@ -131,7 +132,7 @@ def test_continuity_in_center_and_width():
 )
 @settings(max_examples=200, deadline=None)
 def test_value_bounds_property(w, x, z):
-    v = kernels.value(SPEC, x, z, w)
+    v = reference.value(SPEC, x, z, w)
     assert 0.0 < v <= 1.0
 
 
@@ -146,7 +147,7 @@ def test_spec_validation():
 
 def test_spec_json_round_trip():
     d = SPEC.to_dict()
-    assert d["family"] == "gaussian"
+    assert set(d) == {"w_lo", "w_hi", "box"}
     back = KernelSpec.from_dict(d)
     assert back.w_lo == SPEC.w_lo and back.w_hi == SPEC.w_hi
     assert np.array_equal(back.box, SPEC.box)

@@ -23,10 +23,12 @@ from sparsekern import (
 )
 from sparsekern import kernels
 from sparsekern import losses as losses_mod
-from sparsekern.dual_field import BumpField, monte_carlo_nodes, quadrature_nodes
+from sparsekern.dual_field import monte_carlo_nodes, quadrature_nodes
 from sparsekern import solver as solver_mod
 from sparsekern.errors import ConfigError, DivergenceError, DomainError
 from sparsekern.models import DiscreteModel
+
+from reference import BumpField
 
 KERNEL = KernelSpec(w_lo=0.3, w_hi=1.8, box=np.array([[0.0, 5.0]]))
 QUAD = Quadrature(128, 16)
@@ -147,7 +149,7 @@ def test_fit_single_sample_zero_label_stays_at_zero():
     assert np.all(state.lam == 0.0)
     # lambda = 0 is already certified: g = P = 0 and c(0, 0) = -eps
     assert state.converged and state.t == 0
-    assert field.predict([1.0], Quadrature(64, 8)) == 0.0
+    assert field.predict_batch([[1.0]], Quadrature(64, 8))[0] == 0.0
     assert losses_mod.value(loss, 0.0, 0.0) <= 0.0
 
 
@@ -177,9 +179,7 @@ def test_fit_remark1_reaches_feasibility():
 def test_fit_is_bit_deterministic_under_fixed_seed():
     data = gen_remark1(6, 8)
     loss = Loss("quadratic_eps", 0.01, 10.0)
-    config = SolverConfig(
-        gamma=0.05, iters=60, tol=1e-9, center_nodes=64, width_nodes=8, trace_every=10
-    )
+    config = SolverConfig(gamma=0.05, iters=60, tol=1e-9, center_nodes=64, width_nodes=8)
     s1, f1 = fit(data, KERNEL, loss, ProblemVariant.full(), config)
     s2, f2 = fit(data, KERNEL, loss, ProblemVariant.full(), config)
     assert np.array_equal(s1.lam, s2.lam)
@@ -221,37 +221,34 @@ def test_running_max_of_trace_is_monotone():
     prob = Problem(data, KERNEL, loss, ProblemVariant.full(), 0.05)
     values = []
     for iters in range(1, 41):
-        config = SolverConfig(
-            gamma=0.05, iters=iters, tol=1e-12, center_nodes=64, width_nodes=8, trace_every=1
-        )
+        config = SolverConfig(gamma=0.05, iters=iters, tol=1e-12, center_nodes=64, width_nodes=8)
         state, _ = fit(data, KERNEL, loss, ProblemVariant.full(), config)
         assert state.t == iters and not state.converged
         values.append(dual_objective(state, prob, Quadrature(64, 8)))
     assert np.all(np.diff(values) >= 0)
     assert values[-1] > values[0]
-    gs = [g for _, g in state.g_trace]
-    assert len(gs) == 41 and gs[-1] == pytest.approx(values[-1], rel=1e-12)
+    # steps 0 and 40 of the 40-step run: the first and the last step are traced
+    assert [t for t, _ in state.g_trace] == [0, 40]
+    assert state.g_trace[-1][1] == pytest.approx(values[-1], rel=1e-12)
 
 
 def test_trace_file_columns(tmp_path):
     data = gen_remark1(6, 12)
     loss = Loss("quadratic_eps", 0.01, 10.0)
-    config = SolverConfig(
-        gamma=0.05, iters=50, tol=1e-12, center_nodes=64, width_nodes=8, trace_every=10
-    )
+    config = SolverConfig(gamma=0.05, iters=120, tol=1e-12, center_nodes=64, width_nodes=8)
     path = tmp_path / "trace.csv"
     fit(data, KERNEL, loss, ProblemVariant.full(), config, trace_path=path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,g,rel_gap,max_violation,support_fraction"
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    assert [r[0] for r in rows] == [0, 10, 20, 30, 40, 50]
+    assert [r[0] for r in rows] == [0, 50, 100, 120]
     assert all(r[2] >= 0 and r[3] >= 0 and 0 <= r[4] <= 1 for r in rows)
 
 
 def test_solver_config_json_round_trip():
     config = SolverConfig(gamma=1.0, iters=10, tol=1e-4, width_nodes=12)
     assert list(config.to_dict()) == [
-        "gamma", "iters", "tol", "center_nodes", "width_nodes", "trace_every",
+        "gamma", "iters", "tol", "center_nodes", "width_nodes",
     ]
     assert SolverConfig.from_dict(config.to_dict()) == config
 
@@ -263,7 +260,10 @@ def test_solver_config_validation():
         SolverConfig(gamma=1, iters=0)
     with pytest.raises(ConfigError):
         SolverConfig(gamma=1, iters=10, tol=0.0)
-    retired = ("eta_mu", "mu_floor", "step_decay", "integrator", "eta_lambda", "batch", "seed")
+    retired = (
+        "eta_mu", "mu_floor", "step_decay", "integrator", "eta_lambda", "batch", "seed",
+        "trace_every",
+    )
     for key in ("iter", *retired):
         with pytest.raises(ConfigError, match=key):
             SolverConfig.from_dict({"gamma": 1.0, "iters": 10, key: 1})
