@@ -181,21 +181,40 @@ class AlphaField(Document):
         s = self.smooth_at_nodes(Z, W)
         return np.where(np.abs(s) > self.threshold, s, 0.0)
 
-    def smooth_with_grad(self, Z, W):
+    def smooth_with_grad(self, Z, W, with_hessian=False):
         """Values and gradients of the smooth surface at many (z, w) nodes.
 
-        Returns (vals, d/dz, d/dw) with shapes (G,), (G, p), (G,).
+        Returns (vals, d/dz, d/dw) with shapes (G,), (G, p), (G,).  With
+        ``with_hessian`` it also returns the second derivatives in (z, w),
+        (G, p + 1, p + 1), and sum_i |m_i| (G,), which bounds the rounding
+        of vals by N eps sum_i |m_i| (Higham 2002, chapter 4).  With m_i = lambda_i
+        k_i, d_i = x_i - z and r_i = ||d_i||^2:
+
+            d2/dz dz^T = sum_i m_i d_i d_i^T / w^4 - abar I / w^2
+            d2/dz dw   = sum_i m_i d_i r_i / w^5 - 2 (d/dz) / w
+            d2/dw^2    = sum_i m_i r_i^2 / w^6 - 3 (d/dw) / w
         """
         X = self.samples.X
         K, d2 = kernels.cross(self.kernel, X, Z, W, with_sqdist=True)
         M = self.lam[:, None] * K
         vals = M.sum(axis=0)
         W = np.broadcast_to(np.asarray(W, dtype=float), vals.shape)
-        # sum_i lambda_i k_i (x_i - z), from exact per-axis differences as in sqdist
-        gz = [np.sum(M * (X[:, k, None] - Z[None, :, k]), axis=0) for k in range(X.shape[1])]
-        gz = np.stack(gz, axis=1) / (W**2)[:, None]
-        gw = (M * d2).sum(axis=0) / W**3
-        return vals, gz, gw
+        # x_i - z per axis, exact differences as in sqdist
+        D = [X[:, k, None] - Z[None, :, k] for k in range(X.shape[1])]
+        gz = np.stack([np.sum(M * d, axis=0) for d in D], axis=1) / (W**2)[:, None]
+        Md2 = M * d2
+        gw = Md2.sum(axis=0) / W**3
+        if not with_hessian:
+            return vals, gz, gw
+        p = len(D)
+        hess = np.empty((vals.size, p + 1, p + 1))
+        for k in range(p):
+            for m in range(k + 1):
+                hess[:, k, m] = hess[:, m, k] = np.sum(M * D[k] * D[m], axis=0) / W**4
+            hess[:, k, k] -= vals / W**2
+            hess[:, k, p] = hess[:, p, k] = np.sum(Md2 * D[k], axis=0) / W**5 - 2.0 * gz[:, k] / W
+        hess[:, p, p] = np.sum(Md2 * d2, axis=0) / W**6 - 3.0 * gw / W
+        return vals, gz, gw, hess, np.abs(M).sum(axis=0)
 
     def predict_batch(self, X, quad: Quadrature) -> np.ndarray:
         Z, W, wts = quadrature_nodes(self.kernel, self.variant, quad)

@@ -1,7 +1,7 @@
 """Turn a fitted coefficient field into a small discrete kernel model.
 
 Peaks of |abar(z, w)| above the threshold become kernel (center, width)
-pairs: a coarse grid scan proposes candidates, gradient ascent with
+pairs: a coarse grid scan proposes candidates, Newton ascent with
 backtracking refines them, and nearby candidates are merged.  Amplitudes
 are then refit by (ridge) least squares on the training samples, since
 the field's magnitude is not the series coefficient.
@@ -9,6 +9,7 @@ the field's magnitude is not the series coefficient.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -22,8 +23,9 @@ from .errors import ConfigError
 from .kernels import KernelSpec
 from .models import DiscreteModel
 
-# gradient-ascent steps that refine each scanned peak candidate
+# the cap on the Newton steps that refine each scanned peak candidate
 _REFINE_STEPS = 50
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -64,41 +66,76 @@ def _grid_local_maxima(vals: np.ndarray, shape, axes) -> np.ndarray:
 
 
 def _refine(field: AlphaField, Z, W, steps: int, step0: np.ndarray):
-    """Batched gradient ascent on |abar| with per-candidate backtracking.
+    """Batched Newton ascent on |abar| with per-candidate backtracking.
 
-    The trajectory value is non-decreasing: a proposal is only accepted if
-    it does not lower |abar|; otherwise the candidate's step is halved.
+    Each step solves grad abar = 0 by Newton in the moving coordinates
+    (those at a bound that the gradient pushes outward held fixed), with
+    the step no longer than the candidate's step length; where the
+    Hessian of |abar| is not negative definite it takes the normalised
+    gradient step of that length instead.  A proposal is accepted only if
+    it does not lower |abar| by more than the rounding bound of the two
+    values; otherwise the step length halves below the rejected move.  A
+    candidate retires once its move falls below rounding level, or after a
+    full Newton step below sqrt(eps), and ``steps`` caps the steps.
     """
     kernel = field.kernel
-    variant = field.variant
-    move_z = variant.kind in ("full", "fixed_width")
-    move_w = variant.kind in ("full", "fixed_centers")
-    Z = Z.copy()
-    W = W.copy()
+    p = kernel.dim
+    moving = np.zeros(p + 1, dtype=bool)
+    moving[:p] = field.variant.kind in ("full", "fixed_width")
+    moving[p] = field.variant.kind in ("full", "fixed_centers")
+    lo = np.append(kernel.box[:, 0], kernel.w_lo)
+    hi = np.append(kernel.box[:, 1], kernel.w_hi)
+    eye = np.eye(np.count_nonzero(moving))
+    P = np.column_stack([Z, W])  # the coordinates (z, w) of each candidate
     step = step0.copy()
-    vals, gz, gw = field.smooth_with_grad(Z, W)
-    best = np.abs(vals)
+    n_eps = field.samples.n * _EPS
+
+    def derivatives(P):
+        """|abar|, its rounding bound, and its gradient and Hessian in the moving coordinates."""
+        vals, gz, gw, hess, mass = field.smooth_with_grad(P[:, :p], P[:, p], with_hessian=True)
+        sgn = np.where(vals < 0.0, -1.0, 1.0)
+        grad = sgn[:, None] * np.column_stack([gz, gw])[:, moving]
+        hess = sgn[:, None, None] * hess[:, moving][:, :, moving]
+        return np.abs(vals), n_eps * mass, grad, hess
+
+    best, err, grad, hess = derivatives(P)
+    active = np.arange(P.shape[0])
     for _ in range(steps):
-        sgn = np.sign(vals)
-        sgn[sgn == 0] = 1.0
-        dz = gz * sgn[:, None] if move_z else np.zeros_like(gz)
-        dw = gw * sgn if move_w else np.zeros_like(gw)
-        norm = np.sqrt(np.sum(dz**2, axis=1) + dw**2)
-        norm[norm == 0] = 1.0
-        Zp = Z + step[:, None] * dz / norm[:, None] if move_z else Z
-        Wp = W + step * dw / norm if move_w else W
-        Zp = np.clip(Zp, kernel.box[:, 0], kernel.box[:, 1])
-        Wp = np.clip(Wp, kernel.w_lo, kernel.w_hi)
-        pvals, pgz, pgw = field.smooth_with_grad(Zp, Wp)
-        better = np.abs(pvals) >= best
-        Z[better] = Zp[better]
-        W[better] = Wp[better]
-        vals = np.where(better, pvals, vals)
-        gz[better] = pgz[better]
-        gw = np.where(better, pgw, gw)
-        best = np.abs(vals)
-        step = np.where(better, step, step * 0.5)
-    return Z, W, best
+        at, g, H = P[active], grad[active], hess[active]
+        # a coordinate at its bound whose gradient points outward stays there
+        held = np.where(g < 0.0, at[:, moving] <= lo[moving], at[:, moving] >= hi[moving])
+        if held.any():
+            g = np.where(held, 0.0, g)
+            H = np.where(held[:, :, None] | held[:, None, :], 0.0, H) - held[:, :, None] * eye
+        concave = np.all(np.linalg.eigvalsh(H) < 0.0, axis=1)
+        H[~concave] = -eye  # the gradient direction
+        move = -np.linalg.solve(H, g[:, :, None])[:, :, 0]
+        length = np.sqrt(np.sum(move**2, axis=1))
+        newton = concave & (length <= step[active])
+        cap = np.where(newton, length, step[active])
+        move *= np.divide(cap, length, out=np.zeros_like(cap), where=length > 0)[:, None]
+        prop = at.copy()
+        prop[:, moving] += move
+        np.clip(prop, lo, hi, out=prop)
+        size = np.max(np.abs(prop - at) / (np.abs(at) + at[:, p:]), axis=1)
+        # a move within rounding of the coordinates retires the candidate, and
+        # so does a full Newton step within sqrt(eps) of them, once taken:
+        # Newton's error squares, so it lands within rounding of the peak
+        still = size <= _EPS
+        last = (newton & (size <= math.sqrt(_EPS)))[~still]
+        active, prop, cap = active[~still], prop[~still], cap[~still]
+        if active.size == 0:
+            break
+        pbest, perr, pgrad, phess = derivatives(prop)
+        # no drop beyond the rounding of the two values: near a peak a Newton
+        # step raises |abar| by less than that, and the gradient shows the gain
+        better = pbest >= best[active] - (err[active] + perr)
+        taken = active[better]
+        P[taken], best[taken], err[taken] = prop[better], pbest[better], perr[better]
+        grad[taken], hess[taken] = pgrad[better], phess[better]
+        step[active[~better]] = 0.5 * cap[~better]
+        active = active[~(better & last)]
+    return P[:, :p], P[:, p], best
 
 
 def find_peaks(field: AlphaField, cfg: PeakConfig | None = None):

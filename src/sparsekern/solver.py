@@ -12,15 +12,21 @@ threshold.
 
 ``fit`` runs FISTA (Beck & Teboulle 2009) on a midpoint quadrature: a
 gradient step on the integral, then the prox of phi, with step 1/L,
-L = ||K diag(w) K^T||.  A step from the extrapolated point that does not
-raise g restarts the momentum (O'Donoghue & Candes 2015); one from the
-iterate itself halves the step.  An iteration costs one N x G pass, K^T
-of the new iterate, plus the certificate of the extrapolated point, whose
-abar is linear in the last two iterates.  Each iteration certifies that
-point from vectors in hand: rel_gap = |P - g| / max(1, |P|) with P =
-integral of alpha^2 / 2 + gamma 1[alpha != 0] the primal value of its
-field, and max_i c(yhat_i, y_i) its constraint violation.  ``fit`` stops
-when both are at most ``tol``; ``iters`` is a cap.
+L = ||K diag(w) K^T||.  It starts at the best point of A's spectral
+path, A = K diag(w) K^T: the truncated solves lambda_c = sum over mu_i >=
+c mu_max of v_i (v_i^T y) / mu_i for A's eigenpairs (mu_i, v_i), c in
+_START_CUTOFFS, fit y in closed form on A's leading directions.  Each
+candidate's g is read from its own surface pass, and the ascent starts
+from the one of largest g, lambda = 0 (g = 0) among them.  A step from
+the extrapolated point that does not raise g restarts the momentum
+(O'Donoghue & Candes 2015); one from the iterate itself halves the step.
+An iteration costs one N x G pass, K^T of the new iterate, plus the
+certificate of the extrapolated point, whose abar is linear in the last
+two iterates.  Each iteration certifies that point from vectors in hand:
+rel_gap = |P - g| / max(1, |P|) with P = integral of alpha^2 / 2 + gamma
+1[alpha != 0] the primal value of its field, and max_i c(yhat_i, y_i) its
+constraint violation.  ``fit`` stops when both are at most ``tol``;
+``iters`` is a cap.
 
 Every kernel matrix, held, streamed or factored, is certified by one
 routine (``_NodeMatrix.certificate_terms``).  It sorts the nodes into the
@@ -95,6 +101,12 @@ _BLOCK_MARGIN = 0.1
 _F32_SCALE_MAX = float(np.finfo(np.float32).max) / 16
 # g_trace and the trace file take every _TRACE_EVERY-th step and the last one
 _TRACE_EVERY = 50
+# the ascent's start solves A lam = y on A's eigenvalues down to these
+# fractions of the largest (``_NodeMatrix.spectral_path``).  On pii_full's
+# draws 0-29, 1e-2 alone gave a mean of 54 iterations (53 from lambda = 0,
+# 23 with these three); on grid_vs_pii2's 50 desk reps, adding 1e-4 ... 1e-8
+# raised the mean from 879 to 908
+_START_CUTOFFS = (1e-1, 1e-2, 1e-3)
 
 
 @dataclass(frozen=True)
@@ -166,7 +178,9 @@ class _NodeMatrix:
     it would exceed _PRECOMPUTE_LIMIT entries (``_rows`` is None).  The
     constructor factors a held K of low numerical rank (``_factor``), forms
     the Gram A = K diag(w) K^T and keeps it, with its largest eigenvalue
-    as ``lipschitz``.
+    as ``lipschitz``.  It keeps A's eigenvectors only until
+    ``spectral_path`` has built the ascent's start from them; factored,
+    they are C's, lifted by P^T, so no N x N eigenproblem is solved.
 
     Factored, K^T = M P, with P (r x N) of orthonormal rows and M = K^T P^T
     (G x r), whose rows take the place of K's, and K is released.  A step
@@ -254,7 +268,9 @@ class _NodeMatrix:
                 B = rows[j : j + _BLOCK] * root[j : j + _BLOCK]
                 gram = gram + B.T @ B
         self._gram = gram
-        self.lipschitz = float(np.linalg.eigvalsh(gram)[-1])  # ||K diag(w) K^T||
+        # A's eigenpairs, in u's coordinates; spectral_path reads and drops them
+        self._eig = np.linalg.eigh(gram)
+        self.lipschitz = float(self._eig[0][-1])  # ||K diag(w) K^T||
 
     def _build(self, nodes):
         """The rows K[:, nodes]^T, from kernels.cross on at most _BLOCK nodes at a time."""
@@ -275,6 +291,26 @@ class _NodeMatrix:
     def _lift(self, u):
         """P^T u once factored, else u."""
         return u if self._basis is None else u @ self._basis
+
+    def spectral_path(self, y):
+        """The truncated-spectrum solves of A lam = y, one per cutoff in _START_CUTOFFS.
+
+        lam_c = sum over mu_i >= c mu_max of v_i (v_i^T y) / mu_i for A's
+        eigenpairs (mu_i, v_i); factored, v_i = P^T (C's eigenvectors).  The
+        eigenvectors are dropped: a second call returns no solves.
+        """
+        if self._eig is None:
+            return []
+        mu, V = self._eig
+        self._eig = None
+        if not mu[-1] > 0:
+            return []
+        coef = V.T @ (y if self._basis is None else self._basis @ y)
+        path = []
+        for cutoff in _START_CUTOFFS:
+            keep = mu >= cutoff * mu[-1]
+            path.append(self._lift(V[:, keep] @ (coef[keep] / mu[keep])))
+        return path
 
     def matvec(self, v):
         if self._rows is not None:
@@ -521,13 +557,27 @@ def primal_objective(field_: AlphaField, quad: Quadrature) -> float:
     return float(wts @ (0.5 * vals**2 + field_.gamma * support))
 
 
+def _start(problem, op):
+    """(lambda, its surface, g) at lambda = 0 or on the spectral path: the largest g."""
+    loss, y, gamma = problem.loss, problem.samples.y, problem.gamma
+    lam = np.zeros(problem.samples.n)
+    best = (lam, op.surface(lam), 0.0)  # g(0) = 0
+    for lam in op.spectral_path(y):
+        surf = op.surface(lam)
+        # -inf off hinge's half-line, so such a solve is never the start
+        g = losses.phi(loss, lam, y) + op.integral(surf, gamma)
+        if g > best[2]:
+            best = (lam, surf, g)
+    return best
+
+
 def _accelerated_ascent(problem, op, config, record):
-    """FISTA with restart and step halving; returns (lambda, t, certificate)."""
+    """FISTA with restart and step halving from ``_start``; returns (lambda, t, certificate)."""
     loss, y, gamma = problem.loss, problem.samples.y, problem.gamma
     step = 1.0 / max(op.lipschitz, 1e-300)
-    x = x_prev = np.zeros(problem.samples.n)
-    s = s_prev = op.surface(x)
-    g_x, theta, beta, t = 0.0, 1.0, 0.0, 0  # g(0) = 0
+    x, s, g_x = _start(problem, op)
+    x_prev, s_prev = x, s
+    theta, beta, t = 1.0, 0.0, 0
     while True:
         # the extrapolated point and its abar, by linearity
         lam = x + beta * (x - x_prev) if beta else x
@@ -560,7 +610,7 @@ def fit(
     config: SolverConfig,
     trace_path=None,
 ):
-    """Maximise the dual from lambda = 0; returns (DualState, AlphaField).
+    """Maximise the dual from the start ``_start`` picks; returns (DualState, AlphaField).
 
     The state holds the iterations run (``t``) and the certificate of the
     field on the midpoint quadrature.  Runs are bit-identical.

@@ -89,6 +89,34 @@ def test_smooth_gradient_far_from_the_origin_matches_kernel_grad_sum():
         assert gw[j] == pytest.approx(oracle_w, rel=1e-12)
 
 
+def test_smooth_hessian_matches_differences_of_the_gradient():
+    # two center axes, so the mixed z-z and z-w terms are checked too
+    kernel = KernelSpec(w_lo=0.1, w_hi=2.0, box=np.array([[0.0, 5.0], [0.0, 5.0]]))
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0.0, 5.0, (7, 2))
+    data = SampleSet(X, np.zeros(7), kernel.box)
+    field = AlphaField(data, rng.normal(0, 1, 7), 0.1, kernel, ProblemVariant.full())
+    Z, W = rng.uniform(1.0, 4.0, (4, 2)), rng.uniform(0.5, 1.5, 4)
+    _, _, _, hess, mass = field.smooth_with_grad(Z, W, with_hessian=True)
+    K = np.exp(-((X[:, None, :] - Z) ** 2).sum(axis=2) / (2 * W**2))
+    assert np.allclose(mass, np.abs(field.lam) @ K)
+
+    def grad(Z, W):
+        _, gz, gw = field.smooth_with_grad(Z, W)
+        return np.column_stack([gz, gw])
+
+    h = 1e-6
+    for k in range(3):
+        dZ, dW = np.zeros_like(Z), np.zeros_like(W)
+        if k < 2:
+            dZ[:, k] = h
+        else:
+            dW[:] = h
+        column = (grad(Z + dZ, W + dW) - grad(Z - dZ, W - dW)) / (2 * h)
+        assert np.allclose(hess[:, :, k], column, rtol=1e-6, atol=1e-7)
+    assert np.array_equal(hess, hess.transpose(0, 2, 1))
+
+
 def test_threshold_cases():
     # gamma = 0.5 thresholds at 1; scale lambda to land on either side
     data = gen_remark1(1 + 1, 3)

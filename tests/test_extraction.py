@@ -64,6 +64,21 @@ def test_remark1_extraction_recovers_single_center():
     assert abs(peaks[0][0][0] - 2.5) < 0.05
 
 
+def test_refined_remark1_peak_is_stationary_to_rounding_level():
+    # the study's fit and scan: the refined center's d abar / dz is within
+    # the rounding of its sum, N eps sum_i |lam_i k_i (x_i - z)| / w^2
+    from sparsekern import experiments as ex
+
+    data = gen_remark1(20, 0)
+    variant = ProblemVariant.fixed_width(1.0)
+    _, field = fit(data, ex.REMARK1_KERNEL, ex.REMARK1_LOSS, variant, ex.REMARK1_CONFIG)
+    (z, w), = find_peaks(field, PeakConfig(grid_centers=128, grid_widths=4))
+    _, gz, _ = field.smooth_with_grad(z[None, :], w)
+    k = kernels.cross(field.kernel, data.X, z[None, :], w)[:, 0]
+    scale = np.sum(np.abs(field.lam * k * (data.X[:, 0] - z[0]))) / w**2
+    assert abs(gz[0, 0]) <= data.n * np.finfo(float).eps * scale
+
+
 def test_refit_recovers_unit_amplitude():
     rng = np.random.default_rng(4)
     X = rng.uniform(0, 5, (30, 1))

@@ -422,16 +422,24 @@ def test_factored_fit_certificate_matches_a_dense_recomputation(monkeypatch):
     config = SolverConfig(gamma=0.2, iters=200, center_nodes=96, width_nodes=32)
     state, _ = fit(data, kernel, loss, ProblemVariant.full(), config)
     assert factored == [True] and state.t == 200
-    Z, W, wts = quadrature_nodes(kernel, ProblemVariant.full(), Quadrature(96, 32))
+    variant = ProblemVariant.full()
+    _, _, rel_gap, max_c = dense_certificate(state.lam, data, kernel, loss, variant, config)
+    assert state.rel_gap == pytest.approx(rel_gap, rel=1e-9)
+    assert state.max_c == pytest.approx(max_c, rel=1e-9)
+
+
+def dense_certificate(lam, data, kernel, loss, variant, config):
+    """(g, P, rel_gap, max_c) of lambda, from one dense K on the config's quadrature."""
+    quad = Quadrature(config.center_nodes, config.width_nodes)
+    Z, W, wts = quadrature_nodes(kernel, variant, quad)
     K = kernels.cross(kernel, data.X, Z, W)
-    smooth = K.T @ state.lam
+    smooth = K.T @ lam
     alpha = np.where(np.abs(smooth) > np.sqrt(2 * config.gamma), smooth, 0.0)
-    g = losses_mod.phi(loss, state.lam, data.y)
+    g = losses_mod.phi(loss, lam, data.y)
     g += wts @ np.minimum(0.0, config.gamma - smooth**2 / 2)
     primal = wts @ (alpha**2 / 2 + config.gamma * (alpha != 0))
     max_c = np.max(losses_mod.value(loss, K @ (wts * alpha), data.y))
-    assert state.rel_gap == pytest.approx(abs(primal - g) / max(1.0, abs(primal)), rel=1e-9)
-    assert state.max_c == pytest.approx(max_c, rel=1e-9)
+    return g, primal, abs(primal - g) / max(1.0, abs(primal)), max_c
 
 
 @functools.cache
@@ -594,3 +602,60 @@ def test_kept_block_gives_the_float64_terms_along_a_sequence_of_surfaces():
             bound = N * EPS * (np.abs(K) @ np.abs(ws) + np.abs(ws).sum())
             assert np.all(np.abs(yhat - K @ (ws * on)) <= bound)
         assert events == ["new side", "reuse", "regather", "reuse"] * 2 + ["new side"]
+
+
+def test_pii_full_rep0_starts_at_the_candidate_of_largest_g():
+    # the t = 0 certificate is the start's: the largest g of lambda = 0 and
+    # the spectral path, each g recomputed here from lambda alone
+    from sparsekern import experiments as ex
+
+    train, _ = ex._mixed_gauss_draw(0, 100, 500)
+    loss = losses_mod.default_loss("quadratic_eps", train.y)
+    config, variant = ex.PII_FULL_CONFIG, ProblemVariant.full()
+    state, _ = fit(train, ex.MIXED_KERNEL, loss, variant, config)
+    op = pii_full_operator()[0]
+    path = op.spectral_path(train.y)
+    assert len(path) == len(solver_mod._START_CUTOFFS) and op.spectral_path(train.y) == []
+    g = [dense_certificate(lam, train, ex.MIXED_KERNEL, loss, variant, config)[0] for lam in path]
+    t, g0 = state.g_trace[0]
+    assert t == 0 and g0 > 0.0
+    assert g0 == pytest.approx(max(g), rel=1e-12)
+
+
+@pytest.mark.parametrize("rep", range(5))
+def test_pii_full_fits_from_the_start_certify(rep):
+    from sparsekern import experiments as ex
+
+    train, _ = ex._mixed_gauss_draw(rep, 100, 500)
+    loss = losses_mod.default_loss("quadratic_eps", train.y)
+    config, variant = ex.PII_FULL_CONFIG, ProblemVariant.full()
+    state, _ = fit(train, ex.MIXED_KERNEL, loss, variant, config)
+    assert state.converged and state.g_trace[0][1] > 0.0  # started off lambda = 0
+    cert = dense_certificate(state.lam, train, ex.MIXED_KERNEL, loss, variant, config)
+    g, primal, rel_gap, max_c = cert
+    assert state.g == pytest.approx(g, rel=1e-9)
+    assert state.primal == pytest.approx(primal, rel=1e-9)
+    assert rel_gap <= config.tol and max_c <= config.tol
+    assert state.max_c == pytest.approx(max_c, rel=1e-9)
+
+
+def test_hinge_start_stays_on_the_half_line():
+    # the spectral path's solves leave lam y >= 0; phi is -inf there, so
+    # the start never takes one
+    rng = np.random.default_rng(5)
+    X = np.sort(rng.uniform(0.0, 5.0, (30, 1)), axis=0)
+    labels = SampleSet(X, np.where(np.sin(2.0 * X[:, 0]) > 0.0, 1.0, -1.0), np.array([[0.0, 5.0]]))
+    loss = Loss("hinge_eps", 0.05, 10.0)
+    variant, quad = ProblemVariant.full(), Quadrature(64, 8)
+    prob = Problem(labels, KERNEL, loss, variant, 0.05)
+    Z, W, wts = quadrature_nodes(KERNEL, variant, quad)
+    off = [lam for lam in solver_mod._NodeMatrix(KERNEL, X, Z, W, wts).spectral_path(labels.y)
+           if np.any(lam * labels.y < 0.0)]
+    assert off
+    assert all(dual_objective(DualState(lam=lam), prob, quad) == -np.inf for lam in off)
+    lam, _, g = solver_mod._start(prob, solver_mod._NodeMatrix(KERNEL, X, Z, W, wts))
+    assert np.all(lam * labels.y >= 0.0) and g >= 0.0
+    config = SolverConfig(gamma=0.05, iters=50, center_nodes=64, width_nodes=8)
+    state, _ = fit(labels, KERNEL, loss, variant, config)
+    t, g0 = state.g_trace[0]
+    assert t == 0 and g0 == pytest.approx(g, rel=1e-12, abs=1e-12)
