@@ -181,14 +181,14 @@ class AlphaField(Document):
         s = self.smooth_at_nodes(Z, W)
         return np.where(np.abs(s) > self.threshold, s, 0.0)
 
-    def smooth_with_grad(self, Z, W, with_hessian=False):
-        """Values and gradients of the smooth surface at many (z, w) nodes.
+    def smooth_derivatives(self, Z, W):
+        """Values and first and second derivatives of the smooth surface at many (z, w) nodes.
 
-        Returns (vals, d/dz, d/dw) with shapes (G,), (G, p), (G,).  With
-        ``with_hessian`` it also returns the second derivatives in (z, w),
-        (G, p + 1, p + 1), and sum_i |m_i| (G,), which bounds the rounding
-        of vals by N eps sum_i |m_i| (Higham 2002, chapter 4).  With m_i = lambda_i
-        k_i, d_i = x_i - z and r_i = ||d_i||^2:
+        Returns (vals, d/dz, d/dw, the second derivatives in (z, w), sum_i
+        |m_i|) with shapes (G,), (G, p), (G,), (G, p + 1, p + 1), (G,); the
+        last bounds the rounding of vals by N eps sum_i |m_i| (Higham 2002,
+        chapter 4).  With m_i = lambda_i k_i, d_i = x_i - z and r_i =
+        ||d_i||^2:
 
             d2/dz dz^T = sum_i m_i d_i d_i^T / w^4 - abar I / w^2
             d2/dz dw   = sum_i m_i d_i r_i / w^5 - 2 (d/dz) / w
@@ -204,8 +204,6 @@ class AlphaField(Document):
         gz = np.stack([np.sum(M * d, axis=0) for d in D], axis=1) / (W**2)[:, None]
         Md2 = M * d2
         gw = Md2.sum(axis=0) / W**3
-        if not with_hessian:
-            return vals, gz, gw
         p = len(D)
         hess = np.empty((vals.size, p + 1, p + 1))
         for k in range(p):

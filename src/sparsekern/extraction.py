@@ -92,7 +92,7 @@ def _refine(field: AlphaField, Z, W, steps: int, step0: np.ndarray):
 
     def derivatives(P):
         """|abar|, its rounding bound, and its gradient and Hessian in the moving coordinates."""
-        vals, gz, gw, hess, mass = field.smooth_with_grad(P[:, :p], P[:, p], with_hessian=True)
+        vals, gz, gw, hess, mass = field.smooth_derivatives(P[:, :p], P[:, p])
         sgn = np.where(vals < 0.0, -1.0, 1.0)
         grad = sgn[:, None] * np.column_stack([gz, gw])[:, moving]
         hess = sgn[:, None, None] * hess[:, moving][:, :, moving]

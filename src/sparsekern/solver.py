@@ -296,11 +296,9 @@ class _NodeMatrix:
         """The truncated-spectrum solves of A lam = y, one per cutoff in _START_CUTOFFS.
 
         lam_c = sum over mu_i >= c mu_max of v_i (v_i^T y) / mu_i for A's
-        eigenpairs (mu_i, v_i); factored, v_i = P^T (C's eigenvectors).  The
-        eigenvectors are dropped: a second call returns no solves.
+        eigenpairs (mu_i, v_i); factored, v_i = P^T (C's eigenvectors).  Called
+        once: it drops the eigenvectors.
         """
-        if self._eig is None:
-            return []
         mu, V = self._eig
         self._eig = None
         if not mu[-1] > 0:

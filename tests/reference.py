@@ -3,7 +3,7 @@
 ``value`` and ``grad`` evaluate one kernel and its analytic partials at one
 pair of points; ``BumpField`` is a piecewise-constant coefficient field
 built from a discrete model.  The package itself evaluates kernels only in
-batches (``kernels.cross``, ``AlphaField.smooth_with_grad``).
+batches (``kernels.cross``, ``AlphaField.smooth_derivatives``).
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ def test_smooth_gradient_far_from_the_origin_matches_kernel_grad_sum():
     field = AlphaField(data, lam, 0.1, kernel, ProblemVariant.full())
     Z = off + np.array([[0.45], [0.50], [0.58]])
     W = np.full(3, w)
-    vals, gz, gw = field.smooth_with_grad(Z, W)
+    vals, gz, gw, _, _ = field.smooth_derivatives(Z, W)
     for j, z in enumerate(Z):
         parts = [reference.grad(kernel, x, z, w) for x in X]
         oracle_z = sum(l * dz for l, (dz, _) in zip(lam, parts))
@@ -97,12 +97,12 @@ def test_smooth_hessian_matches_differences_of_the_gradient():
     data = SampleSet(X, np.zeros(7), kernel.box)
     field = AlphaField(data, rng.normal(0, 1, 7), 0.1, kernel, ProblemVariant.full())
     Z, W = rng.uniform(1.0, 4.0, (4, 2)), rng.uniform(0.5, 1.5, 4)
-    _, _, _, hess, mass = field.smooth_with_grad(Z, W, with_hessian=True)
+    _, _, _, hess, mass = field.smooth_derivatives(Z, W)
     K = np.exp(-((X[:, None, :] - Z) ** 2).sum(axis=2) / (2 * W**2))
     assert np.allclose(mass, np.abs(field.lam) @ K)
 
     def grad(Z, W):
-        _, gz, gw = field.smooth_with_grad(Z, W)
+        _, gz, gw, _, _ = field.smooth_derivatives(Z, W)
         return np.column_stack([gz, gw])
 
     h = 1e-6

@@ -73,7 +73,7 @@ def test_refined_remark1_peak_is_stationary_to_rounding_level():
     variant = ProblemVariant.fixed_width(1.0)
     _, field = fit(data, ex.REMARK1_KERNEL, ex.REMARK1_LOSS, variant, ex.REMARK1_CONFIG)
     (z, w), = find_peaks(field, PeakConfig(grid_centers=128, grid_widths=4))
-    _, gz, _ = field.smooth_with_grad(z[None, :], w)
+    _, gz, _, _, _ = field.smooth_derivatives(z[None, :], w)
     k = kernels.cross(field.kernel, data.X, z[None, :], w)[:, 0]
     scale = np.sum(np.abs(field.lam * k * (data.X[:, 0] - z[0]))) / w**2
     assert abs(gz[0, 0]) <= data.n * np.finfo(float).eps * scale

@@ -615,7 +615,7 @@ def test_pii_full_rep0_starts_at_the_candidate_of_largest_g():
     state, _ = fit(train, ex.MIXED_KERNEL, loss, variant, config)
     op = pii_full_operator()[0]
     path = op.spectral_path(train.y)
-    assert len(path) == len(solver_mod._START_CUTOFFS) and op.spectral_path(train.y) == []
+    assert len(path) == len(solver_mod._START_CUTOFFS) and op._eig is None
     g = [dense_certificate(lam, train, ex.MIXED_KERNEL, loss, variant, config)[0] for lam in path]
     t, g0 = state.g_trace[0]
     assert t == 0 and g0 > 0.0
