@@ -101,8 +101,7 @@ _BLOCK_MARGIN = 0.1
 _F32_SCALE_MAX = float(np.finfo(np.float32).max) / 16
 # g_trace and the trace file take every _TRACE_EVERY-th step and the last one
 _TRACE_EVERY = 50
-# the ascent's start solves A lam = y on A's eigenvalues down to these
-# fractions of the largest (``_NodeMatrix.spectral_path``).  On pii_full's
+# the cutoffs c of the ascent's start (module docstring).  On pii_full's
 # draws 0-29, 1e-2 alone gave a mean of 54 iterations (53 from lambda = 0,
 # 23 with these three); on grid_vs_pii2's 50 desk reps, adding 1e-4 ... 1e-8
 # raised the mean from 879 to 908
@@ -293,12 +292,7 @@ class _NodeMatrix:
         return u if self._basis is None else u @ self._basis
 
     def spectral_path(self, y):
-        """The truncated-spectrum solves of A lam = y, one per cutoff in _START_CUTOFFS.
-
-        lam_c = sum over mu_i >= c mu_max of v_i (v_i^T y) / mu_i for A's
-        eigenpairs (mu_i, v_i); factored, v_i = P^T (C's eigenvectors).  Called
-        once: it drops the eigenvectors.
-        """
+        """The truncated solves lambda_c of A lam = y (module docstring); drops A's eigenvectors."""
         mu, V = self._eig
         self._eig = None
         if not mu[-1] > 0:
