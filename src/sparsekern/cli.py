@@ -142,7 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a certified sparse kernel model to a CSV dataset")
     p_fit.add_argument("data", help="training data CSV (x1,...,xp,y)")
-    p_fit.add_argument("--config", help="JSON with solver/kernel/loss sections")
+    p_fit.add_argument(
+        "--config",
+        help="JSON with solver/kernel/loss sections; solver center_nodes counts the centers per "
+        "input axis, so p-dimensional data get center_nodes^p centers (times width_nodes widths "
+        "in the full variant)",
+    )
     p_fit.add_argument("--variant", default="full", help="full | fixed-width=W | fixed-centers=FILE")
     p_fit.add_argument("--out", required=True, help="output model JSON path")
     p_fit.add_argument("--gamma", type=float, help="sparsity penalty per unit of support")

@@ -31,7 +31,7 @@ constraint violation.  ``fit`` stops when both are at most ``tol``;
 Every kernel matrix, held, streamed or factored, is certified by one
 routine (``_NodeMatrix.certificate_terms``).  It sorts the nodes into the
 support S and its complement, reads exact values on the smaller side
-only, and takes the other side from A = K diag(w) K^T, the Gram formed
+only, and takes the other side from A = w K K^T, the Gram formed
 once with L: yhat = K_S (w alpha)_S, or A lambda - K_Sc (w abar)_Sc.  A
 support and complement both above G/4 nodes, or a K of fewer than 100k
 entries, take a second full pass instead.  A held K whose numerical rank
@@ -77,8 +77,9 @@ _BLOCK = 512
 # entries.  Measured on one thread at N = 300, G = 3072, a gather of a random
 # fraction f of the nodes costs 0.11 of a full N x G pass at f = 5% and 0.6 of
 # it at f = 20%: the gathered rows are copied before the product.  Below 100k
-# entries a full pass takes under 30 us, and the fixed cost of a gather's few
-# numpy calls (about 10 us) is as large as what it saves.
+# entries a gather's fixed cost outweighs what it saves: gathering there too,
+# the seed-0 komp_sparsity desk run took 4.2 s instead of 3.8 s (medians of
+# three, one thread), with the same rows but one training MSE, 2e-6 apart.
 _GATHER_SHARE = 0.25
 _GATHER_MIN_ENTRIES = 100_000
 _EPS = np.finfo(float).eps
@@ -89,11 +90,6 @@ _CHECK_BLOCK = 128
 # 100 x 6144 K it takes 0.3-0.4 ms (N G (h + 1) / 8 multiply-adds, 1/32 of the
 # Gram's N^2 G), and it alone keeps rep 0 of every seed-0 desk study dense
 _PROBE_STRIDE = 8
-# the kept block of M's rows reaches _BLOCK_MARGIN sqrt(2 gamma) past the
-# needed nodes: over the 1000-step cli_fit fits of seeds 1, 7 and 41 it is
-# gathered again in 3.2-3.6% of the classifications and holds 1.09-1.13 times
-# the needed nodes
-_BLOCK_MARGIN = 0.1
 # a factored step classifies the nodes from a float32 pass when R ||u|| is at
 # most this (R the largest row norm of M, u = P lam): then u, s and the
 # extrapolated s + beta (s - s_prev), at most 3 R ||u|| in size, stay below
@@ -171,20 +167,22 @@ class Problem:
 
 
 class _NodeMatrix:
-    """K[i, j] = k(x_i; z_j, w_j) on nodes of weights w, stored node-major: one row per node.
+    """K[i, j] = k(x_i; z_j, w_j) on the midpoint nodes, stored node-major: one row per node.
 
-    Held whole (``_rows`` is K^T, G x N), or rebuilt in chunks of nodes when
-    it would exceed _PRECOMPUTE_LIMIT entries (``_rows`` is None).  The
-    constructor factors a held K of low numerical rank (``_factor``), forms
-    the Gram A = K diag(w) K^T and keeps it, with its largest eigenvalue
-    as ``lipschitz``.  It keeps A's eigenvectors only until
-    ``spectral_path`` has built the ascent's start from them; factored,
-    they are C's, lifted by P^T, so no N x N eigenproblem is solved.
+    The midpoint rule gives every node the same weight w, its cell's
+    volume, so K diag(w) = w K.  Held whole (``_rows`` is K^T, G x N), or
+    rebuilt in chunks of nodes when it would exceed _PRECOMPUTE_LIMIT
+    entries (``_rows`` is None).  The constructor factors a held K of low
+    numerical rank (``_factor``), forms the Gram A = w K K^T and keeps it,
+    with its largest eigenvalue as ``lipschitz``.  It keeps A's
+    eigenvectors only until ``spectral_path`` has built the ascent's start
+    from them; factored, they are C's, lifted by P^T, so no N x N
+    eigenproblem is solved.
 
     Factored, K^T = M P, with P (r x N) of orthonormal rows and M = K^T P^T
     (G x r), whose rows take the place of K's, and K is released.  A step
     then costs O((N + G) r): abar = M (P lam), and yhat = P^T (.) from the
-    same gathers on M's r-wide rows, with the r x r C = M^T diag(w) M in
+    same gathers on M's r-wide rows, with the r x r C = w M^T M in
     place of A; ||A|| = ||C|| since P has orthonormal rows.
 
     ``_factor`` reads the rule from its own sketch K Omega^T of k = N G /
@@ -230,27 +228,26 @@ class _NodeMatrix:
     support itself or its complement, with the undecided ones; when they
     number at most G/4, exact values are read there only: s[nodes] from an
     exact surface, M's rows times u from a float32 one.  The rest comes
-    from the Gram: sum_on w s^2 = u^T A u - sum_off w s^2, W_on = W - W_off
-    and yhat = A u - K_off (w s)_off (factored, P^T (C u - M_off^T (w
-    s)_off)).  So g, P, rel_gap and the violation are the float64
-    certificate on every path.  On the cli_fit fits of seeds 1, 7 and 41
-    the float32 error stays under 7.8% of gamma_{q+6} scale.
+    from the Gram and the node count: sum_on w s^2 = u^T A u - w sum_off
+    s^2, W_on = w (G - G_off) and yhat = A u - w K_off s_off (factored,
+    P^T (C u - w M_off^T s_off)).  So g, P, rel_gap and the violation are
+    the float64 certificate on every path.  On the cli_fit fits of seeds
+    1, 7 and 41 the float32 error stays under 7.8% of gamma_{q+6} scale.
 
     A held K, dense or factored, keeps the gathered rows across steps: a
-    block that holds the needed nodes and reaches _BLOCK_MARGIN sqrt(2
-    gamma) further, gathered again only when the side changes or a needed
-    node falls outside it.  A streamed K keeps no block: its gathered rows
-    are built each step, _step nodes at a time, since a kept block raised
-    the peak RSS of a 1900-point streamed fit from 344 to 385 MB.  A
-    float32 surface whose sides both exceed G/4 nodes takes the exact pass
-    s = M u and is classified again; an exact one whose sides both do, or a
-    K of fewer than _GATHER_MIN_ENTRIES entries, takes one full pass
-    matvec(w s 1_on).
+    block gathered on exactly the needed nodes, kept while it still holds
+    every needed node on the same side.  A streamed K keeps no block: its
+    gathered rows are built each step, _step nodes at a time, since a kept
+    block raised the peak RSS of a 1900-point streamed fit from 344 to 385
+    MB.  A float32 surface whose sides both exceed G/4 nodes takes the
+    exact pass s = M u and is classified again; an exact one whose sides
+    both do, or a K of fewer than _GATHER_MIN_ENTRIES entries, takes one
+    full pass matvec(w s 1_on).
     """
 
     def __init__(self, kernel, X, Z, W, wts):
         self._args = (kernel, X, Z, W)
-        self._wts, self._wsum = wts, float(wts.sum())
+        self._w = float(wts[0])  # every midpoint node's weight
         self._step = max(1, _PRECOMPUTE_LIMIT // X.shape[0])
         G = Z.shape[0]
         self._small = X.shape[0] * G < _GATHER_MIN_ENTRIES  # no gather pays below
@@ -259,16 +256,9 @@ class _NodeMatrix:
         self._block = None
         if self._rows is not None:
             self._factor()
-        # the Gram sums B^T B over blocks B of diag(sqrt(w)) K^T
-        gram = 0.0
-        for part, rows in self._chunks():
-            root = np.sqrt(wts[part])[:, None]
-            for j in range(0, rows.shape[0], _BLOCK):
-                B = rows[j : j + _BLOCK] * root[j : j + _BLOCK]
-                gram = gram + B.T @ B
-        self._gram = gram
+        self._gram = self._w * sum(rows.T @ rows for _, rows in self._chunks())
         # A's eigenpairs, in u's coordinates; spectral_path reads and drops them
-        self._eig = np.linalg.eigh(gram)
+        self._eig = np.linalg.eigh(self._gram)
         self.lipschitz = float(self._eig[0][-1])  # ||K diag(w) K^T||
 
     def _build(self, nodes):
@@ -413,53 +403,52 @@ class _NodeMatrix:
         return _Surface(u, s, (1.0 + beta) * surf.scale + beta * prev.scale)
 
     def integral(self, surf, gamma) -> float:
-        """sum_j w_j min(0, gamma - s_j^2 / 2) for the surface s."""
+        """w sum_j min(0, gamma - s_j^2 / 2) for the surface s."""
         if surf.s.dtype == np.float32:
             mass, sq, _, _ = self.certificate_terms(surf, gamma, with_yhat=False)
             return gamma * mass - 0.5 * sq
         # min(0, gamma - s^2 / 2) = (min(s^2, 2 gamma) - s^2) / 2
         sq = surf.s * surf.s
-        return 0.5 * float(self._wts @ (np.minimum(sq, 2.0 * gamma) - sq))
+        return 0.5 * self._w * float(np.sum(np.minimum(sq, 2.0 * gamma) - sq))
 
     def certificate_terms(self, surf, gamma, with_yhat=True):
         """(W_on, sum_on w s^2, the support's share of the nodes, yhat = K (w s 1_on) or None).
 
         on = |s| > sqrt(2 gamma) for the surface s.  Exact values come from
         the gathered nodes only, and the other side of the support from the
-        Gram and W (see the class docstring).
+        Gram and the node count (see the class docstring).
         """
-        G = surf.s.size
+        G, w = surf.s.size, self._w
         block = self._gather(surf, gamma)
         if block is None:
             if surf.s.dtype == np.float32:  # classified again on the exact pass
                 exact = _Surface(surf.u, self._rows @ surf.u, 0.0)
                 return self.certificate_terms(exact, gamma, with_yhat)
             on = np.abs(surf.s) > math.sqrt(2.0 * gamma)  # one full pass
-            ws = self._wts * surf.s
-            sq = float((ws * on) @ surf.s)
-            yhat = self.matvec(ws * on) if with_yhat else None
-            return float(self._wts @ on), sq, np.count_nonzero(on) / G, yhat
+            s_on = surf.s * on
+            yhat = self.matvec(w * s_on) if with_yhat else None
+            n_on = int(np.count_nonzero(on))
+            return w * n_on, w * float(s_on @ surf.s), n_on / G, yhat
         nodes, on_side, rows = block
         s = rows @ surf.u if surf.s.dtype == np.float32 else surf.s[nodes]
         tau = math.sqrt(2.0 * gamma)
         side = np.abs(s) > tau if on_side else np.abs(s) <= tau
-        ws = self._wts[nodes] * side
-        mass = float(ws.sum())
-        ws *= s
-        sq = float(ws @ s)
-        n_on = np.count_nonzero(side)
+        s *= side  # zero off the gathered side
+        sq = w * float(s @ s)
+        n_on = int(np.count_nonzero(side))
         if not on_side:
             cu = self._gram @ surf.u
-            sq, mass, n_on = float(surf.u @ cu) - sq, self._wsum - mass, G - n_on
+            sq, n_on = float(surf.u @ cu) - sq, G - n_on
         if not with_yhat:
-            return mass, sq, n_on / G, None
+            return w * n_on, sq, n_on / G, None
         if rows is not None:
-            part = ws @ rows
+            part = s @ rows
         else:  # streamed: only the gathered nodes go through kernels.cross
             part = np.zeros(surf.u.size)
             for j in range(0, len(nodes), self._step):
-                part += ws[j : j + self._step] @ self._build(nodes[j : j + self._step])
-        return mass, sq, n_on / G, self._lift(part if on_side else cu - part)
+                part += s[j : j + self._step] @ self._build(nodes[j : j + self._step])
+        part *= w
+        return w * n_on, sq, n_on / G, self._lift(part if on_side else cu - part)
 
     def _gather(self, surf, gamma):
         """The _Block of nodes whose exact values the certificate reads; None for a full pass.
@@ -470,8 +459,9 @@ class _NodeMatrix:
         node is where an exact float64 pass puts it.  None when K has fewer
         than _GATHER_MIN_ENTRIES entries or both sides exceed G/4 nodes.  A
         held K returns its kept block, a superset of the needed nodes,
-        gathered again only when the side changes or a needed node falls
-        outside it; a streamed K returns the needed nodes, without rows.
+        gathered again on exactly them when the side changes or a needed
+        node falls outside it; a streamed K returns the needed nodes,
+        without rows.
         """
         if self._small:
             return None
@@ -496,9 +486,7 @@ class _NodeMatrix:
         # fewer needed nodes in the block than in all: one of them fell outside it
         kept = block is not None and block.on_side == on_side
         if not (kept and np.count_nonzero(needed[block.nodes]) == count):
-            edge = bound + _BLOCK_MARGIN * tau
-            wide = a > cast(tau - edge) if on_side else a <= cast(tau + edge)
-            nodes = np.flatnonzero(wide)
+            nodes = np.flatnonzero(needed)
             block = self._block = _Block(nodes, on_side, self._rows[nodes])
         return block
 

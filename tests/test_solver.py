@@ -407,15 +407,21 @@ def test_factoring_rule_keeps_the_desk_studies_dense_and_factors_cli_fit():
     assert cli_fit_operator(1)[0]._basis is not None
 
 
-def test_factored_fit_certificate_matches_a_dense_recomputation(monkeypatch):
-    factored = []
+@pytest.fixture
+def factored(monkeypatch):
+    """The results of the test's _NodeMatrix._factor calls, in order."""
+    results = []
     factor = solver_mod._NodeMatrix._factor
 
     def recorded(op):
-        factored.append(factor(op))
-        return factored[-1]
+        results.append(factor(op))
+        return results[-1]
 
     monkeypatch.setattr(solver_mod._NodeMatrix, "_factor", recorded)
+    return results
+
+
+def test_factored_fit_certificate_matches_a_dense_recomputation(factored):
     data, _ = gen_mixed_gauss(10, 0.453, 300, np.sqrt(1e-3), 1)
     kernel = KernelSpec(w_lo=0.1, w_hi=1.0, box=data.box)
     loss = losses_mod.default_loss("quadratic_eps", data.y)
@@ -426,6 +432,19 @@ def test_factored_fit_certificate_matches_a_dense_recomputation(monkeypatch):
     _, _, rel_gap, max_c = dense_certificate(state.lam, data, kernel, loss, variant, config)
     assert state.rel_gap == pytest.approx(rel_gap, rel=1e-9)
     assert state.max_c == pytest.approx(max_c, rel=1e-9)
+
+
+def test_factored_fit_certifies_at_a_feasible_epsilon(factored):
+    # the 300-point, 96 x 32 factored problem at eps = 2 sigma^2 ln(2N),
+    # about 0.0128 for sigma^2 = 1e-3: the fit certifies well before its cap
+    data, _ = gen_mixed_gauss(10, 0.453, 300, np.sqrt(1e-3), 1)
+    kernel = KernelSpec(w_lo=0.1, w_hi=1.0, box=data.box)
+    loss = losses_mod.default_loss("quadratic_eps", data.y, 2e-3 * np.log(2 * data.n))
+    config = SolverConfig(gamma=0.2, iters=5000, center_nodes=96, width_nodes=32)
+    state, _ = fit(data, kernel, loss, ProblemVariant.full(), config)
+    assert factored == [True]
+    assert state.converged and state.t < config.iters
+    assert state.rel_gap <= config.tol and state.max_c <= config.tol
 
 
 def dense_certificate(lam, data, kernel, loss, variant, config):
@@ -562,7 +581,8 @@ def pii_full_operator():
 def test_kept_block_gives_the_float64_terms_along_a_sequence_of_surfaces():
     # the kept block is state: one operator goes through surfaces that reuse
     # it, gather it again on the same side, and switch between the support
-    # and its complement; every call must give the float64 pass's terms.
+    # and its complement; every call must give the float64 pass's terms,
+    # and every gather must hold exactly the needed nodes.
     # Factored (cli_fit, float32 surfaces) and dense (pii_full, exact ones)
     for op, K, wts in (cli_fit_operator(7)[:3], pii_full_operator()):
         N, G = K.shape
@@ -571,9 +591,10 @@ def test_kept_block_gives_the_float64_terms_along_a_sequence_of_surfaces():
         tau = np.sqrt(2.0 * gamma)
         lam0 = np.random.default_rng(3).normal(0.0, 1.0, N)
         a0 = np.abs(K.T @ lam0)
-        # a scale that puts a share p of the nodes on the support; a step of
-        # 0.1% moves few nodes, one from 5% to 20% moves needed nodes out of
-        # the block, and every side stays within G/4 nodes
+        # a scale that puts a share p of the nodes on the support, and every
+        # side within G/4 nodes.  A step up of 0.1% adds nodes to the
+        # support: gathered on the support, one falls outside the block;
+        # gathered on the complement, the block still holds every one
         scales = [tau / np.quantile(a0, 1.0 - p) for p in (0.05, 0.2, 0.95, 0.8, 0.05)]
         scales = [c * f for c in scales for f in (1.0, 1.001)][:-1]
         events = []
@@ -595,13 +616,27 @@ def test_kept_block_gives_the_float64_terms_along_a_sequence_of_surfaces():
             rest = np.ones(G, dtype=bool)
             rest[block.nodes] = False
             assert np.all(on[rest] != block.on_side)
+            if block is not before:
+                # the needed nodes: the block's side of the float64 pass and
+                # the undecided, within the float32 error bound of tau
+                side = on == block.on_side
+                extra = np.setdiff1d(block.nodes, np.flatnonzero(side))
+                assert block.nodes.size - extra.size == np.count_nonzero(side)
+                if op._basis is None:
+                    assert extra.size == 0
+                else:
+                    bound = 2.0 * (op._f32_rel * surf.scale + op._f32_floor)
+                    assert np.all(np.abs(np.abs(exact[extra]) - tau) <= bound)
             ws = wts * exact
             assert support == np.count_nonzero(on) / G
             assert abs(mass - wts @ on) <= N * EPS * wts.sum()
             assert abs(sq - (ws * on) @ exact) <= N * EPS * (ws @ exact)
             bound = N * EPS * (np.abs(K) @ np.abs(ws) + np.abs(ws).sum())
             assert np.all(np.abs(yhat - K @ (ws * on)) <= bound)
-        assert events == ["new side", "reuse", "regather", "reuse"] * 2 + ["new side"]
+        assert events == [
+            "new side", "regather", "regather", "regather",
+            "new side", "reuse", "regather", "reuse", "new side",
+        ]
 
 
 def test_pii_full_rep0_starts_at_the_candidate_of_largest_g():
