@@ -29,18 +29,10 @@ constraint violation.  ``fit`` stops when both are at most ``tol``;
 ``iters`` is a cap.
 
 Every kernel matrix, held, streamed or factored, is certified by one
-routine (``_NodeMatrix.certificate_terms``).  It sorts the nodes into the
-support S and its complement, reads exact values on the smaller side
-only, and takes the other side from A = w K K^T, the Gram formed
-once with L: yhat = K_S (w alpha)_S, or A lambda - K_Sc (w abar)_Sc.  A
-support and complement both above G/4 nodes, or a K of fewer than 100k
-entries, take a second full pass instead.  A held K whose numerical rank
-r is far below N, read from a random-sign sketch, is factored once, and
-every product then runs on an r-dimensional basis: O((N + G) r) per step
-in place of O(N G).  Its surfaces come from a float32 pass whose error is
-bounded per node (Higham 2002, 3.1); nodes within that bound of the
-threshold are undecided and join the gathered side, so g, P, rel_gap and
-the violation are the float64 certificate on every path.
+routine, ``_NodeMatrix.certificate_terms``, whose class docstring states
+the rule.  A held K whose numerical rank r is far below N, read from a
+random-sign sketch, is factored once, and every product then runs on an
+r-dimensional basis: O((N + G) r) per step in place of O(N G).
 """
 
 from __future__ import annotations
@@ -72,15 +64,10 @@ from .losses import Loss
 _PRECOMPUTE_LIMIT = 30_000_000
 # kernels.cross builds the node-major matrix this many nodes at a time
 _BLOCK = 512
-# yhat gathers the smaller of the support and its complement when that holds
-# at most _GATHER_SHARE of the nodes and K has at least _GATHER_MIN_ENTRIES
-# entries.  Measured on one thread at N = 300, G = 3072, a gather of a random
-# fraction f of the nodes costs 0.11 of a full N x G pass at f = 5% and 0.6 of
-# it at f = 20%: the gathered rows are copied before the product.  Below 100k
-# entries a gather's fixed cost outweighs what it saves: gathering there too,
-# the seed-0 komp_sparsity desk run took 4.2 s instead of 3.8 s (medians of
-# three, one thread), with the same rows but one training MSE, 2e-6 apart.
-_GATHER_SHARE = 0.25
+# below this many kernel-matrix entries a gather costs more than it saves, so
+# the certificate reads one fixed block of every node: over the 86,192
+# certificates of the seed-0 komp_sparsity desk fits (K 20 x 256), 6.5-6.8 us
+# each on the block against 11.1-11.6 us gathered (one thread)
 _GATHER_MIN_ENTRIES = 100_000
 _EPS = np.finfo(float).eps
 # the sketch of a low-rank K and the check of its factor take this many nodes
@@ -189,13 +176,13 @@ class _NodeMatrix:
     (2 (N + G)) random-sign columns, the break-even rank: K is factored
     when at most h = k / 2 of the sketch's singular values exceed
     sqrt(eps) times the largest.  That count reads r8, the count of A's
-    eigenvalues above eps times the largest, which earlier versions formed
-    A to take: cli_fit (N = 300, G = 96 x 32) 50 vs 51 against h = 68,
-    pii_full 47 vs 49 against h = 24.  A probe of h + 1 columns on every
-    _PROBE_STRIDE-th node comes first and keeps K dense when all its
-    values exceed that.  It can only say "dense", so a misreading costs
-    time, never accuracy; and a column subset's singular values interlace
-    below K's, so a full probe speaks for K.
+    eigenvalues above eps times the largest: cli_fit (N = 300, G = 96 x
+    32) 50 vs 51 against h = 68, pii_full 47 vs 49 against h = 24.  A
+    probe of h + 1 columns on every _PROBE_STRIDE-th node comes first and
+    keeps K dense when all its values exceed that.  It can only say
+    "dense", so a misreading costs time, never accuracy; and a column
+    subset's singular values interlace below K's, so a full probe speaks
+    for K.
 
     The factor is kept only if max|K^T - M P| <= N eps entrywise: that is
     the worst-case rounding of the dense products it replaces, so abar and
@@ -217,32 +204,31 @@ class _NodeMatrix:
     Algorithms, 3.1; gamma_n = n e / (1 - n e), e = 2^-24), with scale =
     R ||u||.  The extrapolated point is formed in float32 with scale (1 +
     beta) scale + beta scale_prev, and u in r-space: gamma_{q+6} covers
-    its three roundings.  A dense K stays float64: a prototype of the
-    float32 pass on pii_full's 6144 x 100 K ran 18-31% slower, since its
-    row gathers and float32 copy cost more than the pass saves.
+    its three roundings.  A dense K stays float64.
 
-    Every surface is certified by one routine, ``certificate_terms``.  A
-    node whose ||s_j| - sqrt(2 gamma)| exceeds the surface's bound is on or
-    off the support exactly as a float64 pass puts it; the others are
-    undecided.  The needed nodes are the smaller side of the support, the
-    support itself or its complement, with the undecided ones; when they
-    number at most G/4, exact values are read there only: s[nodes] from an
-    exact surface, M's rows times u from a float32 one.  The rest comes
-    from the Gram and the node count: sum_on w s^2 = u^T A u - w sum_off
-    s^2, W_on = w (G - G_off) and yhat = A u - w K_off s_off (factored,
-    P^T (C u - w M_off^T s_off)).  So g, P, rel_gap and the violation are
-    the float64 certificate on every path.  On the cli_fit fits of seeds
-    1, 7 and 41 the float32 error stays under 7.8% of gamma_{q+6} scale.
+    The certificate of a surface s, read by ``certificate_terms``, puts
+    node j on the support when |s_j| > sqrt(2 gamma).  A node whose ||s_j|
+    - sqrt(2 gamma)| exceeds the surface's bound is on or off the support
+    exactly as a float64 pass puts it; the others are undecided.  Exact
+    values are read on a block of nodes only: s[nodes] from an exact
+    surface, the rows times u from a float32 one.  A K of fewer than
+    _GATHER_MIN_ENTRIES entries has one block, every node on the support
+    side, so its product is one full pass.  Any other K gathers the
+    smaller side of the support, the support itself or its complement,
+    with the undecided nodes: about G/2 nodes at most.  The other side
+    comes from the Gram and the node count: sum_on w s^2 = u^T A u - w
+    sum_off s^2, W_on = w (G - G_off) and yhat = A u - w K_off s_off
+    (factored, P^T (C u - w M_off^T s_off)).  So g, P, rel_gap and the
+    violation are the float64 certificate on every surface.  On the cli_fit
+    fits of seeds 1, 7 and 41 the float32 error stays under 7.8% of
+    gamma_{q+6} scale.
 
     A held K, dense or factored, keeps the gathered rows across steps: a
     block gathered on exactly the needed nodes, kept while it still holds
     every needed node on the same side.  A streamed K keeps no block: its
     gathered rows are built each step, _step nodes at a time, since a kept
     block raised the peak RSS of a 1900-point streamed fit from 344 to 385
-    MB.  A float32 surface whose sides both exceed G/4 nodes takes the
-    exact pass s = M u and is classified again; an exact one whose sides
-    both do, or a K of fewer than _GATHER_MIN_ENTRIES entries, takes one
-    full pass matvec(w s 1_on).
+    MB.
     """
 
     def __init__(self, kernel, X, Z, W, wts):
@@ -253,9 +239,10 @@ class _NodeMatrix:
         self._small = X.shape[0] * G < _GATHER_MIN_ENTRIES  # no gather pays below
         self._rows = self._build(np.arange(G)) if G <= self._step else None
         self._basis = None  # P, once factored
-        self._block = None
         if self._rows is not None:
             self._factor()
+        # a small K's one block of every node, else the kept block
+        self._block = _Block(slice(None), True, self._rows) if self._small else None
         self._gram = self._w * sum(rows.T @ rows for _, rows in self._chunks())
         # A's eigenpairs, in u's coordinates; spectral_path reads and drops them
         self._eig = np.linalg.eigh(self._gram)
@@ -293,11 +280,6 @@ class _NodeMatrix:
             keep = mu >= cutoff * mu[-1]
             path.append(self._lift(V[:, keep] @ (coef[keep] / mu[keep])))
         return path
-
-    def matvec(self, v):
-        if self._rows is not None:
-            return self._lift(self._rows.T @ v)
-        return sum(rows.T @ v[part] for part, rows in self._chunks())
 
     def _factor(self) -> bool:
         """Replace the held K^T by M P; returns whether it did.
@@ -414,26 +396,15 @@ class _NodeMatrix:
     def certificate_terms(self, surf, gamma, with_yhat=True):
         """(W_on, sum_on w s^2, the support's share of the nodes, yhat = K (w s 1_on) or None).
 
-        on = |s| > sqrt(2 gamma) for the surface s.  Exact values come from
-        the gathered nodes only, and the other side of the support from the
-        Gram and the node count (see the class docstring).
+        on = |s| > sqrt(2 gamma) for the surface s, read from its block
+        (class docstring).
         """
         G, w = surf.s.size, self._w
-        block = self._gather(surf, gamma)
-        if block is None:
-            if surf.s.dtype == np.float32:  # classified again on the exact pass
-                exact = _Surface(surf.u, self._rows @ surf.u, 0.0)
-                return self.certificate_terms(exact, gamma, with_yhat)
-            on = np.abs(surf.s) > math.sqrt(2.0 * gamma)  # one full pass
-            s_on = surf.s * on
-            yhat = self.matvec(w * s_on) if with_yhat else None
-            n_on = int(np.count_nonzero(on))
-            return w * n_on, w * float(s_on @ surf.s), n_on / G, yhat
-        nodes, on_side, rows = block
+        nodes, on_side, rows = self._gather(surf, gamma)
         s = rows @ surf.u if surf.s.dtype == np.float32 else surf.s[nodes]
         tau = math.sqrt(2.0 * gamma)
         side = np.abs(s) > tau if on_side else np.abs(s) <= tau
-        s *= side  # zero off the gathered side
+        s = s * side  # zero off the gathered side; a small K's s[nodes] is a view
         sq = w * float(s @ s)
         n_on = int(np.count_nonzero(side))
         if not on_side:
@@ -451,20 +422,18 @@ class _NodeMatrix:
         return w * n_on, sq, n_on / G, self._lift(part if on_side else cu - part)
 
     def _gather(self, surf, gamma):
-        """The _Block of nodes whose exact values the certificate reads; None for a full pass.
+        """The _Block of nodes whose exact values the certificate reads (class docstring).
 
-        The needed nodes are the smaller side of the support as s places
-        it, the support itself (``on_side``) or its complement, with every
-        node within the surface's error bound of the threshold; every other
-        node is where an exact float64 pass puts it.  None when K has fewer
-        than _GATHER_MIN_ENTRIES entries or both sides exceed G/4 nodes.  A
-        held K returns its kept block, a superset of the needed nodes,
-        gathered again on exactly them when the side changes or a needed
-        node falls outside it; a streamed K returns the needed nodes,
-        without rows.
+        A small K returns its one block.  The needed nodes are the smaller
+        side of the support as s places it, the support itself
+        (``on_side``) or its complement, with every node within the
+        surface's error bound of the threshold.  A held K returns its kept
+        block, a superset of the needed nodes, gathered again on exactly
+        them when the side changes or a needed node falls outside it; a
+        streamed K returns the needed nodes, without rows.
         """
         if self._small:
-            return None
+            return self._block
         a = np.abs(surf.s)
         tau = math.sqrt(2.0 * gamma)
         bound = 0.0
@@ -472,14 +441,12 @@ class _NodeMatrix:
             bound = self._f32_rel * surf.scale + self._f32_floor
             bound += 2.0**-22 * (tau + bound)  # and the rounding of tau +- bound to float32
         cast = a.dtype.type
-        limit = _GATHER_SHARE * a.size
+        limit = a.size // 2
         on_side, needed = False, a <= cast(tau + bound)  # off the support, or undecided
         count = np.count_nonzero(needed)
         if count > limit:
             on_side, needed = True, a > cast(tau - bound)  # on the support, or undecided
             count = np.count_nonzero(needed)
-            if count > limit:
-                return None
         if self._rows is None:
             return _Block(np.flatnonzero(needed), on_side, None)
         block = self._block
@@ -487,13 +454,14 @@ class _NodeMatrix:
         kept = block is not None and block.on_side == on_side
         if not (kept and np.count_nonzero(needed[block.nodes]) == count):
             nodes = np.flatnonzero(needed)
+            block = self._block = None  # drop the old rows before gathering the new
             block = self._block = _Block(nodes, on_side, self._rows[nodes])
         return block
 
 
-# the nodes whose exact values a certificate reads, the side of the support
-# they hold, and the rows of K^T (or M) there: kept across steps by a held K,
-# None for a streamed one
+# the nodes whose exact values a certificate reads (a small K's slice of every
+# node), the side of the support they hold, and the rows of K^T (or M) there:
+# kept across steps by a held K, None for a streamed one
 _Block = namedtuple("_Block", "nodes on_side rows")
 
 

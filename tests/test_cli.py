@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sparsekern import SampleSet, cli, gen_mixed_gauss
+from sparsekern import AlphaField, SampleSet, cli, gen_mixed_gauss
 from sparsekern.datasets import save_csv
 
 FIT_FLAGS = ["--gamma", "0.2", "--iters", "5"]
@@ -295,3 +295,38 @@ def test_fit_on_overflowing_labels_exits_3(tmp_path, capsys):
     assert cli.main(argv) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("numeric failure: ")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--loss", "abs"],
+        ["--loss", "hinge"],
+        ["--variant", "fixed-width=0.4"],
+        ["--variant", "fixed-centers={centers}"],
+    ],
+    ids=["abs", "hinge", "fixed-width", "fixed-centers"],
+)
+def test_non_default_loss_or_variant_fits_and_evaluates(flags, tmp_path, capsys):
+    data, _ = gen_mixed_gauss(3, 0.453, 36, 0.03, seed=2)
+    if flags[1] == "hinge":
+        data = SampleSet(data.X, np.where(data.y > np.median(data.y), 1.0, -1.0), data.box)
+    centers = tmp_path / "centers.csv"
+    np.savetxt(centers, data.X[::3], delimiter=",")
+    flags = [flag.format(centers=centers) for flag in flags]
+    path, out = tmp_path / "train.csv", tmp_path / "model.json"
+    save_csv(data, path)
+    argv = ["fit", str(path), "--gamma", "0.2", "--iters", "200", *flags, "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert out.exists()
+    field = AlphaField.load(f"{out}.field.json")
+    assert field.lam.shape == (data.n,) and np.all(np.isfinite(field.lam))
+    trace = (tmp_path / "model.json.trace.csv").read_text().splitlines()
+    assert trace[0] == "t,g,rel_gap,max_violation,support_fraction" and len(trace) > 1
+    if flags[1] == "hinge":
+        # hinge's multipliers stay on their half-line lambda y >= 0
+        assert np.all(field.lam * data.y >= 0.0)
+    assert cli.main(["eval", str(out), str(path)]) == 0
+    mse = float(capsys.readouterr().out.strip())
+    assert np.isfinite(mse) and mse >= 0.0

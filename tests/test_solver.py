@@ -278,7 +278,18 @@ def assert_certificate_terms_match_the_dense_pass(op, K, wts, lam, share):
     off = G - round(share * G)
     tau = 2.0 * a[-1] if off == G else 0.5 * a[0] if off == 0 else 0.5 * (a[off - 1] + a[off])
     gamma = 0.5 * tau * tau
-    mass, sq, support, yhat = op.certificate_terms(op.surface(lam), gamma)
+    surf = op.surface(lam)
+    # every surface is certified from a block: a small K's one block of every
+    # node, else the smaller side of the support, at most G/2 nodes when exact
+    block = op._gather(surf, gamma)
+    if op._small:
+        assert block.nodes == slice(None) and block.on_side
+    else:
+        assert block is not None
+        assert surf.scale > 0.0 or np.size(block.nodes) <= G // 2
+    values = surf.s.copy()
+    mass, sq, support, yhat = op.certificate_terms(surf, gamma)
+    assert np.array_equal(surf.s, values)  # the ascent reads the surface again
     on = np.abs(exact) > tau
     ws = wts * exact
     assert support == np.count_nonzero(on) / G
@@ -293,29 +304,32 @@ def test_streamed_kernel_matrix_matches_the_held_one(monkeypatch):
     data = gen_remark1(7, 13)
     Z, W, wts = quadrature_nodes(KERNEL, ProblemVariant.full(), Quadrature(40, 8))
     K = kernels.cross(KERNEL, data.X, Z, W)
-    # gather even at this size, which a full pass would otherwise serve
+    # 7 x 320 entries: below _GATHER_MIN_ENTRIES, one block of every node
+    small = solver_mod._NodeMatrix(KERNEL, data.X, Z, W, wts)
+    # gather even at this size
     monkeypatch.setattr(solver_mod, "_GATHER_MIN_ENTRIES", 0)
     held = solver_mod._NodeMatrix(KERNEL, data.X, Z, W, wts)
     # at most 7 * 45 entries per chunk: 8 chunks of the 320 nodes
     monkeypatch.setattr(solver_mod, "_PRECOMPUTE_LIMIT", 7 * 45)
     streamed = solver_mod._NodeMatrix(KERNEL, data.X, Z, W, wts)
     assert held._rows is not None and held._basis is None and streamed._rows is None
-    lam, v = np.linspace(-1.0, 1.0, 7), np.cos(np.arange(320.0))
+    assert small._small and not held._small and small._basis is None
+    lam = np.linspace(-1.0, 1.0, 7)
     # a multiplier of norm 1e4
     big = np.cos(3.0 * np.arange(7.0))
     big *= 1e4 / np.linalg.norm(big)
-    for op in (held, streamed):
+    one_block = small._block
+    for op in (held, streamed, small):
         assert np.allclose(op.surface(lam).s, K.T @ lam, rtol=1e-13, atol=1e-13)
         assert op.surface(lam).scale == 0.0
-        assert np.allclose(op.matvec(v), K @ v, rtol=1e-13, atol=1e-13)
         # the step 1/L rests on the exact spectral norm of K diag(w) K^T
         assert op.lipschitz == pytest.approx(np.linalg.norm((K * wts) @ K.T, 2), rel=1e-12)
-        # gathered support, full pass, gathered complement
-        for share in (0.0, 0.15, 0.25, 0.5, 0.75, 0.85, 1.0):
+        # gathered complement up to half the nodes, gathered support past it
+        for share in (0.0, 0.15, 0.25, 0.3, 0.4, 0.5, 0.75, 0.85, 1.0):
             assert_certificate_terms_match_the_dense_pass(op, K, wts, lam, share)
         assert_certificate_terms_match_the_dense_pass(op, K, wts, big, 0.8)
-    # a streamed K keeps no block of rows across steps
-    assert held._block is not None and streamed._block is None
+    # a streamed K keeps no block of rows across steps; a small K keeps its one
+    assert held._block is not None and streamed._block is None and small._block is one_block
 
 
 def test_hinge_needs_plus_minus_one_labels():
@@ -340,19 +354,23 @@ def cli_fit_operator(seed):
     return op, K, wts, op.lipschitz
 
 
-def test_factored_products_match_the_dense_ones_within_rounding():
-    op, K, wts, L = cli_fit_operator(1)
+def test_factored_products_match_the_dense_ones_within_rounding(monkeypatch):
+    gathering, K, wts, _ = cli_fit_operator(1)
+    # the same K below _GATHER_MIN_ENTRIES: one block of every node, read from M
+    monkeypatch.setattr(solver_mod, "_GATHER_MIN_ENTRIES", 10**9)
+    small = cli_fit_operator(1)[0]
     N, G = K.shape
-    assert op._basis is not None and op._rows.shape[1] < N
-    # ||K diag(w) K^T|| = ||M^T diag(w) M||: P has orthonormal rows
-    assert L == pytest.approx(np.linalg.norm((K * wts) @ K.T, 2), rel=1e-12)
-    rng = np.random.default_rng(0)
-    lam, v = rng.normal(0.0, 1.0, N), rng.normal(0.0, 1.0, G)
-    assert np.all(np.abs(op.matvec(v) - K @ v) <= N * EPS * (np.abs(K) @ np.abs(v)))
-    assert op.surface(lam).s.dtype == np.float32
-    # gathered support, the exact pass classified again, gathered complement
-    for share in (0.0, 0.05, 0.2, 0.5, 0.8, 1.0):
-        assert_certificate_terms_match_the_dense_pass(op, K, wts, lam, share)
+    for op in (gathering, small):
+        assert op._basis is not None and op._rows.shape[1] < N
+        # ||K diag(w) K^T|| = ||M^T diag(w) M||: P has orthonormal rows
+        assert op.lipschitz == pytest.approx(np.linalg.norm((K * wts) @ K.T, 2), rel=1e-12)
+        lam = np.random.default_rng(0).normal(0.0, 1.0, N)
+        assert op.surface(lam).s.dtype == np.float32
+        # gathered complement up to half the nodes, gathered support past it,
+        # each with the undecided nodes
+        for share in (0.0, 0.05, 0.2, 0.3, 0.4, 0.5, 0.8, 1.0):
+            assert_certificate_terms_match_the_dense_pass(op, K, wts, lam, share)
+    assert small._small and small._block.rows is small._rows
 
 
 @pytest.mark.parametrize("seed", [1, 41, 42, 43])
@@ -500,13 +518,11 @@ def test_float32_classification_equals_the_float64_pass(seed, size, beta, place,
         gamma = 0.5 * tau * tau
     exact = op._rows @ surf.u  # the float64 pass
     on = np.abs(exact) > tau
-    block = op._gather(surf, gamma)
-    if block is not None:
-        # off the gathered nodes the float32 decision is the float64 one
-        nodes, on_side, _ = block
-        rest = np.ones(G, dtype=bool)
-        rest[nodes] = False
-        assert np.all(on[rest] != on_side)
+    # every surface gathers a block; off it the float32 decision is the float64 one
+    nodes, on_side, _ = op._gather(surf, gamma)
+    rest = np.ones(G, dtype=bool)
+    rest[nodes] = False
+    assert np.all(on[rest] != on_side)
     mass, sq, support, yhat = op.certificate_terms(surf, gamma)
     assert support == np.count_nonzero(on) / G
     ws = wts * exact
@@ -591,8 +607,8 @@ def test_kept_block_gives_the_float64_terms_along_a_sequence_of_surfaces():
         tau = np.sqrt(2.0 * gamma)
         lam0 = np.random.default_rng(3).normal(0.0, 1.0, N)
         a0 = np.abs(K.T @ lam0)
-        # a scale that puts a share p of the nodes on the support, and every
-        # side within G/4 nodes.  A step up of 0.1% adds nodes to the
+        # a scale that puts a share p of the nodes on the support, and the
+        # smaller side within G/4 nodes.  A step up of 0.1% adds nodes to the
         # support: gathered on the support, one falls outside the block;
         # gathered on the complement, the block still holds every one
         scales = [tau / np.quantile(a0, 1.0 - p) for p in (0.05, 0.2, 0.95, 0.8, 0.05)]
