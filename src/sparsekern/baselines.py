@@ -48,7 +48,7 @@ def ridge_fit(samples: SampleSet, kernel: KernelSpec, w0: float, reg: float) -> 
     """Kernel ridge with centers at all samples: solve (K + reg I) a = y."""
     if not reg > 0:
         raise ConfigError("reg must be positive")
-    K = kernels.gram(kernel, samples.X, w0)
+    K = kernels.cross(kernel, samples.X, samples.X, w0)
     amps = np.linalg.solve(K + reg * np.eye(samples.n), samples.y)
     return DiscreteModel(amps, samples.X, np.full(samples.n, float(w0)))
 
@@ -127,7 +127,7 @@ def komp_fit_with_path(
     n = samples.n
     if cfg.stop == "kernel_count" and int(cfg.value) > n:
         raise ConfigError(f"kernel_count {int(cfg.value)} exceeds sample count {n}")
-    Phi = kernels.gram(kernel, samples.X, w0)
+    Phi = kernels.cross(kernel, samples.X, samples.X, w0)
 
     active = list(range(n))
     amps, sse, dependent, row_norms2 = _least_squares(Phi, y, active)

@@ -66,7 +66,7 @@ def _load_config(path, args, data) -> tuple[SolverConfig, KernelSpec, Loss]:
             kernel = KernelSpec(w_lo=0.1, w_hi=1.0, box=data.box)
         loss = Loss.from_dict(doc["loss"]) if "loss" in doc else None
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad kernel or loss section ({exc!r})") from None
+        raise ConfigError(f"{path}: bad kernel or loss section ({exc})") from None
 
     if loss is not None:
         if args.loss is not None and LOSS_NAMES[args.loss] != loss.kind:

@@ -2,10 +2,14 @@
 
 A ``Document`` dataclass saves each field under its own name: arrays as
 nested lists, ``Document`` fields as nested documents, and ``None`` fields
-left out.  Loading is ``cls(**d)`` with the nested documents rebuilt first,
-so each class's ``__post_init__`` converts and validates what a file holds,
-and an unknown or missing key, or a JSON boolean (no field takes one), is
-refused with a ``TypeError``: ``True`` would otherwise pass for 1.
+left out.  ``from_dict`` is the one reader of every such file.  It raises a
+``ConfigError`` naming the class and the key for an unknown key, a JSON
+boolean anywhere in a value (no field takes one, and ``True`` would pass for
+1), a non-number in a field typed ``float`` or ``int`` (``None`` only where
+the field is optional), and a non-integer in an ``int`` field; an integral
+float for an ``int`` field becomes an int.  It then calls ``cls(**d)`` with
+the nested documents rebuilt first, so each class's ``__post_init__``
+converts and validates the rest, and a missing key is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import typing
 from dataclasses import fields
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 class Document:
@@ -33,15 +39,23 @@ class Document:
     @classmethod
     def from_dict(cls, d: dict):
         hints = typing.get_type_hints(cls)
+        kw = {}
         for key, val in d.items():
+            if key not in hints:
+                raise ConfigError(f"{cls.__name__} has no field {key!r}")
             if _holds_bool(val):
-                raise TypeError(f"{cls.__name__} field {key!r} must not be a boolean, got {val!r}")
-        nested = {
-            key: hints[key].from_dict(val)
-            for key, val in d.items()
-            if isinstance(hints.get(key), type) and issubclass(hints[key], Document)
-        }
-        return cls(**{**d, **nested})
+                raise ConfigError(f"{cls.__name__} field {key!r} must not be a boolean, got {val!r}")
+            kinds = typing.get_args(hints[key]) or (hints[key],)  # float | None gives both
+            integer = int in kinds
+            if (integer or float in kinds) and not (val is None and type(None) in kinds):
+                if not isinstance(val, (int, float)) or integer and not float(val).is_integer():
+                    kind = "an integer" if integer else "a number"
+                    raise ConfigError(f"{cls.__name__} field {key!r} must be {kind}, got {val!r}")
+                val = int(val) if integer else val
+            elif isinstance(hints[key], type) and issubclass(hints[key], Document):
+                val = hints[key].from_dict(val)
+            kw[key] = val
+        return cls(**kw)
 
 
 def _holds_bool(val) -> bool:

@@ -14,6 +14,7 @@ over widths only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,8 @@ class ProblemVariant(Document):
         return cls("fixed_centers", centers=np.asarray(centers, dtype=float))
 
     def validate_against(self, kernel: KernelSpec) -> None:
-        if self.kind == "fixed_width" and not kernel.contains_width(self.w0):
-            raise DomainError(f"w0={self.w0} outside the kernel width domain")
+        if self.kind == "fixed_width":
+            kernels._check_width(kernel, self.w0)
         if self.kind == "fixed_centers":
             for z in self.centers:
                 if not kernel.contains_center(z):
@@ -92,35 +93,28 @@ def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
 
 
 def quadrature_nodes(kernel: KernelSpec, variant: ProblemVariant, quad: Quadrature):
-    """Midpoint nodes (Z, W, weights) for the variant's integration domain."""
-    box = kernel.box
+    """Midpoint nodes (Z, W, weights) for the variant's integration domain.
+
+    Every variant's nodes are one product of centers x widths, widths
+    varying fastest.  The centers are the variant's list, or the box's
+    midpoint mesh; the widths are [w0], or the width interval's midpoints.
+    Every node's weight is the one cell volume.
+    """
     if variant.kind == "fixed_centers":
-        wgrid, hw = _midpoints(kernel.w_lo, kernel.w_hi, quad.width_nodes)
-        M = variant.centers.shape[0]
-        Z = np.repeat(variant.centers, quad.width_nodes, axis=0)
-        W = np.tile(wgrid, M)
-        wts = np.full(Z.shape[0], hw)
-        return Z, W, wts
-    axes = []
-    cell = 1.0
-    for lo, hi in box:
-        pts, h = _midpoints(lo, hi, quad.center_nodes)
-        axes.append(pts)
-        cell *= h
-    if variant.kind == "full":
-        wgrid, hw = _midpoints(kernel.w_lo, kernel.w_hi, quad.width_nodes)
-        axes.append(wgrid)
+        centers, cell = variant.centers, 1.0
+    else:
+        axes = [_midpoints(lo, hi, quad.center_nodes) for lo, hi in kernel.box]
+        mesh = np.meshgrid(*(pts for pts, _ in axes), indexing="ij")
+        centers = np.stack([m.ravel() for m in mesh], axis=1)
+        cell = math.prod(h for _, h in axes)
+    if variant.kind == "fixed_width":
+        widths = np.array([variant.w0], dtype=float)
+    else:
+        widths, hw = _midpoints(kernel.w_lo, kernel.w_hi, quad.width_nodes)
         cell *= hw
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = [m.ravel() for m in mesh]
-        Z = np.stack(flat[:-1], axis=1)
-        W = flat[-1]
-    else:  # fixed_width
-        mesh = np.meshgrid(*axes, indexing="ij")
-        Z = np.stack([m.ravel() for m in mesh], axis=1)
-        W = np.full(Z.shape[0], variant.w0)
-    wts = np.full(Z.shape[0], cell)
-    return Z, W, wts
+    Z = np.repeat(centers, widths.size, axis=0)
+    W = np.tile(widths, centers.shape[0])
+    return Z, W, np.full(Z.shape[0], cell)
 
 
 # the benchmark tracer wraps it by name; delete with the next benchmark change

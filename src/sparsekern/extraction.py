@@ -41,11 +41,6 @@ class PeakConfig:
             raise ConfigError("merge_radius must be positive")
 
 
-def _scan_grid(field: AlphaField, cfg: PeakConfig):
-    quad = Quadrature(cfg.grid_centers, cfg.grid_widths)
-    return quadrature_nodes(field.kernel, field.variant, quad)
-
-
 def _grid_local_maxima(vals: np.ndarray, shape, axes) -> np.ndarray:
     """Flat indices whose value is >= each neighbor's along the given axes."""
     v = vals.reshape(shape)
@@ -146,7 +141,8 @@ def find_peaks(field: AlphaField, cfg: PeakConfig | None = None):
     """
     cfg = cfg or PeakConfig()
     threshold = field.threshold
-    Z, W, _ = _scan_grid(field, cfg)
+    quad = Quadrature(cfg.grid_centers, cfg.grid_widths)
+    Z, W, _ = quadrature_nodes(field.kernel, field.variant, quad)
     vals = np.abs(field.smooth_at_nodes(Z, W))
 
     if field.variant.kind == "fixed_centers":

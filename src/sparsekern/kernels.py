@@ -52,21 +52,18 @@ class KernelSpec(Document):
     def dim(self) -> int:
         return self.box.shape[0]
 
-    # both accept points up to 1e-9 outside the domain
+    # accepts points up to 1e-9 outside the box
     def contains_center(self, z) -> bool:
         z = np.asarray(z, dtype=float)
         return bool(np.all(z >= self.box[:, 0] - 1e-9) and np.all(z <= self.box[:, 1] + 1e-9))
 
-    def contains_width(self, w: float) -> bool:
-        return self.w_lo - 1e-9 <= w <= self.w_hi + 1e-9
-
 
 def _check_width(spec: KernelSpec, w) -> None:
+    """Refuse any width outside [w_lo, w_hi], naming the first one."""
     w = np.asarray(w, dtype=float)
-    if np.any(w < spec.w_lo) or np.any(w > spec.w_hi):
-        raise DomainError(
-            f"width {w} outside domain [{spec.w_lo}, {spec.w_hi}]"
-        )
+    outside = (w < spec.w_lo) | (w > spec.w_hi)
+    if outside.any():
+        raise DomainError(f"width {w[outside].flat[0]} outside domain [{spec.w_lo}, {spec.w_hi}]")
 
 
 def sqdist(X, Z) -> np.ndarray:
@@ -101,8 +98,3 @@ def cross(spec: KernelSpec, X, Z, W, with_sqdist: bool = False):
     K = d2 / (-2.0 * W**2) if with_sqdist else np.divide(d2, -2.0 * W**2, out=d2)
     np.exp(K, out=K)
     return (K, d2) if with_sqdist else K
-
-
-def gram(spec: KernelSpec, X, w: float) -> np.ndarray:
-    """Symmetric Gram matrix of the samples at a single width."""
-    return cross(spec, X, X, w)

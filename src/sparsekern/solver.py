@@ -109,19 +109,6 @@ class SolverConfig(Document):
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tol must be finite and positive, got {self.tol!r}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverConfig":
-        kw = {}
-        for key, val in d.items():
-            if key not in cls.__dataclass_fields__:
-                raise ConfigError(f"unknown solver setting {key!r}")
-            kind = cls.__dataclass_fields__[key].type
-            numeric = isinstance(val, (int, float)) and not isinstance(val, bool)
-            if not (numeric and (kind == "float" or float(val).is_integer())):
-                raise ConfigError(f"solver setting {key!r} must be of type {kind}, got {val!r}")
-            kw[key] = int(val) if kind == "int" else val
-        return cls(**kw)
-
 
 @dataclass
 class DualState:
@@ -290,10 +277,10 @@ class _NodeMatrix:
         h = N G / (4 (N + G)) of the sketch's singular values exceed
         sqrt(eps) times the largest; a probe of h + 1 columns on every
         _PROBE_STRIDE-th node keeps K dense first when all of its values
-        do.  r starts at the number of the sketch's singular values above
-        eps times the largest, and grows until max|K^T - M P| <= N eps,
-        checked on _CHECK_BLOCK nodes at a time, so no N x G temporary is
-        formed.  K stays when no r below k passes.
+        do.  r is the number of the sketch's singular values above eps
+        times the largest, and K stays unless r < k and max|K^T - M P| <=
+        N eps, checked on _CHECK_BLOCK nodes at a time, so no N x G
+        temporary is formed.
         """
         Kt = self._rows
         G, N = Kt.shape
@@ -317,43 +304,41 @@ class _NodeMatrix:
         if np.count_nonzero(sq > _EPS * sq[-1]) > h:
             return False
         U, sv, _ = np.linalg.svd(sketch(1, k), full_matrices=False)
-        if not sv[0] > 0 or np.count_nonzero(sv > math.sqrt(_EPS) * sv[0]) > h:
+        r = int(np.count_nonzero(sv > _EPS * sv[0]))
+        if not sv[0] > 0 or np.count_nonzero(sv > math.sqrt(_EPS) * sv[0]) > h or r >= k:
             return False
-        for r in range(int(np.count_nonzero(sv > _EPS * sv[0])), k):
-            basis = np.ascontiguousarray(U[:, :r].T)
-            M = np.empty((G, r))
-            for j in range(0, G, _CHECK_BLOCK):
-                block = Kt[j : j + _CHECK_BLOCK]
-                M[j : j + _CHECK_BLOCK] = block @ basis.T
-                if np.max(np.abs(block - M[j : j + _CHECK_BLOCK] @ basis)) > N * _EPS:
-                    break
-            else:
-                self._rows, self._basis = M, basis
-                self._row_norm = float(np.sqrt(np.max(np.einsum("ij,ij->i", M, M))))
-                # q, the leading columns the float32 pass reads: the fewest
-                # whose dropped tail has max_j ||M_j[q:]|| <= 2^-24 R
-                tail_sq, q = np.zeros(G), r
-                while q > 0:
-                    wider = tail_sq + np.square(M[:, q - 1])
-                    if np.max(wider) > (2.0**-24 * self._row_norm) ** 2:
-                        break
-                    tail_sq, q = wider, q - 1
-                # M32 column by column: its pass takes 15 us on cli_fit, row by row 27
-                self._cols32 = np.ascontiguousarray(M[:, :q].T, dtype=np.float32)
-                n = q + 6
-                # the bound of an extrapolated float32 value is twice
-                # gamma_{q+6} scale.  One gamma_{q+6} scale covers its three
-                # roundings; the second covers the dropped tail and the
-                # float64 pass's own rounding, since q's rule gives
-                #   R_tail ||u[q:]|| <= 2^-24 R ||u|| = 2^-24 scale,
-                # far below gamma_{q+6} scale >= (q + 6) 2^-24 scale.  The
-                # float32 errors seen on cli_fit stay under 7.8% of
-                # gamma_{q+6} scale.  The floor covers float32 underflow, at
-                # most about (2 q + 6 + sqrt(q) R) 2^-149 per node
-                self._f32_rel = 2.0 * n * 2.0**-24 / (1.0 - n * 2.0**-24)
-                self._f32_floor = n * (1.0 + self._row_norm) * 2.0**-146
-                return True
-        return False
+        basis = np.ascontiguousarray(U[:, :r].T)
+        M = np.empty((G, r))
+        for j in range(0, G, _CHECK_BLOCK):
+            block = Kt[j : j + _CHECK_BLOCK]
+            M[j : j + _CHECK_BLOCK] = block @ basis.T
+            if np.max(np.abs(block - M[j : j + _CHECK_BLOCK] @ basis)) > N * _EPS:
+                return False
+        self._rows, self._basis = M, basis
+        self._row_norm = float(np.sqrt(np.max(np.einsum("ij,ij->i", M, M))))
+        # q, the leading columns the float32 pass reads: the fewest whose
+        # dropped tail has max_j ||M_j[q:]|| <= 2^-24 R
+        tail_sq, q = np.zeros(G), r
+        while q > 0:
+            wider = tail_sq + np.square(M[:, q - 1])
+            if np.max(wider) > (2.0**-24 * self._row_norm) ** 2:
+                break
+            tail_sq, q = wider, q - 1
+        # M32 column by column: its pass takes 15 us on cli_fit, row by row 27
+        self._cols32 = np.ascontiguousarray(M[:, :q].T, dtype=np.float32)
+        n = q + 6
+        # the bound of an extrapolated float32 value is twice gamma_{q+6}
+        # scale.  One gamma_{q+6} scale covers its three roundings; the
+        # second covers the dropped tail and the float64 pass's own
+        # rounding, since q's rule gives
+        #   R_tail ||u[q:]|| <= 2^-24 R ||u|| = 2^-24 scale,
+        # far below gamma_{q+6} scale >= (q + 6) 2^-24 scale.  The float32
+        # errors seen on cli_fit stay under 7.8% of gamma_{q+6} scale.  The
+        # floor covers float32 underflow, at most about
+        # (2 q + 6 + sqrt(q) R) 2^-149 per node
+        self._f32_rel = 2.0 * n * 2.0**-24 / (1.0 - n * 2.0**-24)
+        self._f32_floor = n * (1.0 + self._row_norm) * 2.0**-146
+        return True
 
     def surface(self, lam):
         """abar = K^T lam at the nodes, as a _Surface (see the class docstring)."""

@@ -54,7 +54,7 @@ def test_ridge_matches_dense_solve_oracle():
     data = gen_remark1(12, 2)
     reg = 1e-3
     model = ridge_fit(data, KERNEL, 0.8, reg)
-    K = kernels.gram(KERNEL, data.X, 0.8)
+    K = kernels.cross(KERNEL, data.X, data.X, 0.8)
     oracle = K @ np.linalg.solve(K + reg * np.eye(12), data.y)
     assert np.allclose(model.predict_batch(data.X), oracle, atol=1e-8)
 

@@ -56,6 +56,16 @@ def test_non_numeric_fixed_width_exits_2(train_csv, tmp_path, capsys):
     assert fails_with_one_error_line(argv, capsys)
 
 
+@pytest.mark.parametrize("width", ["1.0000000005", "0.0999999999"])
+def test_fixed_width_outside_the_width_domain_is_named_on_one_line(width, train_csv, tmp_path, capsys):
+    # the kernel section's default widths are [0.1, 1]
+    out = str(tmp_path / "m.json")
+    argv = ["fit", train_csv, *FIT_FLAGS, "--variant", f"fixed-width={width}", "--out", out]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"width {width} " in err[0]
+
+
 @pytest.mark.parametrize("text", ["", "\n\n"])
 def test_empty_fixed_centers_file_exits_2_without_a_warning(text, train_csv, tmp_path, capsys):
     centers = tmp_path / "centers.csv"

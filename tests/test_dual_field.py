@@ -221,6 +221,45 @@ def test_fixed_width_predict_matches_manual_integral():
     assert predict(field, [2.2], Quadrature(4096, 2)) == pytest.approx(manual, abs=1e-12)
 
 
+def midpoints(lo, hi, n):
+    return lo + (hi - lo) / n * (np.arange(n) + 0.5)
+
+
+KERNEL_2D = KernelSpec(w_lo=0.3, w_hi=1.8, box=np.array([[0.0, 5.0], [-1.0, 1.0]]))
+# the 8-per-axis midpoint meshes of KERNEL's and KERNEL_2D's boxes, last axis fastest
+MESH_1D = midpoints(0.0, 5.0, 8)[:, None]
+MESH_2D = np.array([[a, b] for a in midpoints(0.0, 5.0, 8) for b in midpoints(-1.0, 1.0, 8)])
+CENTER_LIST = np.array([[1.0], [3.0], [4.0]])
+
+
+@pytest.mark.parametrize(
+    "kernel, variant, centers, widths, volume",
+    [
+        (KERNEL, ProblemVariant.full(), MESH_1D, midpoints(0.3, 1.8, 4), 5.0 * 1.5),
+        (KERNEL_2D, ProblemVariant.full(), MESH_2D, midpoints(0.3, 1.8, 4), 5.0 * 2.0 * 1.5),
+        (KERNEL_2D, ProblemVariant.fixed_width(0.7), MESH_2D, np.array([0.7]), 5.0 * 2.0),
+        (
+            KERNEL,
+            ProblemVariant.fixed_centers(CENTER_LIST),
+            CENTER_LIST,
+            midpoints(0.3, 1.8, 4),
+            3 * 1.5,
+        ),
+    ],
+    ids=["full 1-D", "full 2-D", "fixed_width", "fixed_centers"],
+)
+def test_quadrature_nodes_are_centers_times_widths(kernel, variant, centers, widths, volume):
+    Z, W, wts = quadrature_nodes(kernel, variant, Quadrature(8, 4))
+    M, n = centers.shape[0], widths.size
+    assert Z.shape == (M * n, kernel.dim) and W.shape == wts.shape == (M * n,)
+    # each center once per width, widths varying fastest
+    assert np.allclose(Z.reshape(M, n, -1), centers[:, None, :], rtol=1e-15, atol=0.0)
+    assert np.allclose(W.reshape(M, n), widths[None, :], rtol=1e-15, atol=0.0)
+    # one cell volume per node, and the cells fill the domain: every step,
+    # cell and sum here is exact in binary
+    assert np.all(wts == volume / (M * n)) and wts.sum() == volume
+
+
 def test_fixed_centers_nodes_and_predict():
     centers = np.array([[1.0], [3.0], [4.0]])
     variant = ProblemVariant.fixed_centers(centers)

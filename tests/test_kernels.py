@@ -108,7 +108,7 @@ def test_gram_positive_semidefinite():
     rng = np.random.default_rng(3)
     for w in (0.1, 0.5, 2.0):
         X = rng.uniform(0, 1, (20, 3))
-        K = kernels.gram(SPEC, X, w)
+        K = kernels.cross(SPEC, X, X, w)
         eigs = np.linalg.eigvalsh(K)
         assert eigs.min() >= -1e-9
 
