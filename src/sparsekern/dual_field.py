@@ -70,9 +70,7 @@ class ProblemVariant(Document):
         if self.kind == "fixed_width":
             kernels._check_width(kernel, self.w0)
         if self.kind == "fixed_centers":
-            for z in self.centers:
-                if not kernel.contains_center(z):
-                    raise DomainError("a candidate center lies outside the box")
+            kernels._check_center(kernel, self.centers)
 
 
 @dataclass(frozen=True)

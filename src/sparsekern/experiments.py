@@ -21,7 +21,6 @@ scale uses the published settings.
 from __future__ import annotations
 
 import csv
-import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -235,7 +234,6 @@ KOMP_SPARSITY_CONFIG = SolverConfig(
     gamma=5.0, iters=40_000, center_nodes=256, width_nodes=8, tol=1e-2
 )
 KOMP_SPARSITY_CONFIG_PAPER = SolverConfig(gamma=30.0, iters=1000, center_nodes=256, width_nodes=8)
-KOMP_SUBDIVIDE_SPACING = 0.6
 KOMP_POLISH_STEPS = 150
 
 
@@ -247,8 +245,9 @@ def _komp_sparsity_rep(args):
 
     config = KOMP_SPARSITY_CONFIG if scale == "desk" else KOMP_SPARSITY_CONFIG_PAPER
     variant = ProblemVariant.fixed_width(w0)
-    peaks = functools.partial(extraction.subdivided_peaks, spacing_factor=KOMP_SUBDIVIDE_SPACING)
-    state, model = _fit_extract(train, KOMP_KERNEL, variant, config, peaks, KOMP_POLISH_STEPS)
+    state, model = _fit_extract(
+        train, KOMP_KERNEL, variant, config, extraction.subdivided_peaks, KOMP_POLISH_STEPS
+    )
     ours_mse = _mse(model, train)
     komp = baselines.komp_fit(
         train, KOMP_KERNEL, w0, baselines.KompConfig(stop="error_target", value=ours_mse)
@@ -366,8 +365,6 @@ def run_experiment(exp_id: str, scale: str = "desk", seed: int = 0, outdir=None)
 
 def _summarize(rows) -> dict:
     out = {}
-    if not rows:
-        return out
     for key in rows[0]:
         if key == "rep":
             continue
@@ -378,8 +375,6 @@ def _summarize(rows) -> dict:
 
 
 def _write_csv(path, rows) -> None:
-    if not rows:
-        return
     keys = list(rows[0].keys())
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=keys)

@@ -1,10 +1,11 @@
 """Turn a fitted coefficient field into a small discrete kernel model.
 
 Peaks of |abar(z, w)| above the threshold become kernel (center, width)
-pairs: a coarse grid scan proposes candidates, Newton ascent with
-backtracking refines them, and nearby candidates are merged.  Amplitudes
-are then refit by (ridge) least squares on the training samples, since
-the field's magnitude is not the series coefficient.
+pairs: a coarse grid scan proposes candidates, an ascent by Newton's step
+on -|H| (H the Hessian of |abar|) with backtracking refines them, and
+nearby candidates are merged.  Amplitudes are then refit by (ridge) least
+squares on the training samples, since the field's magnitude is not the
+series coefficient.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ from .models import DiscreteModel
 # the cap on the Newton steps that refine each scanned peak candidate
 _REFINE_STEPS = 50
 _EPS = np.finfo(float).eps
+# the amplitude solves' ridge: it keeps coincident terms solvable
+_RIDGE = 1e-10
+# subdivided_peaks' seed spacing, in units of w0, and its scan's node count
+_SUBDIVIDE_SPACING = 0.6
+_SUBDIVIDE_SCAN = 1024
 
 
 @dataclass(frozen=True)
@@ -61,17 +67,18 @@ def _grid_local_maxima(vals: np.ndarray, shape, axes) -> np.ndarray:
 
 
 def _refine(field: AlphaField, Z, W, steps: int, step0: np.ndarray):
-    """Batched Newton ascent on |abar| with per-candidate backtracking.
+    """Batched modified-Newton ascent on |abar| with per-candidate backtracking.
 
-    Each step solves grad abar = 0 by Newton in the moving coordinates
-    (those at a bound that the gradient pushes outward held fixed), with
-    the step no longer than the candidate's step length; where the
-    Hessian of |abar| is not negative definite it takes the normalised
-    gradient step of that length instead.  A proposal is accepted only if
-    it does not lower |abar| by more than the rounding bound of the two
-    values; otherwise the step length halves below the rejected move.  A
-    candidate retires once its move falls below rounding level, or after a
-    full Newton step below sqrt(eps), and ``steps`` caps the steps.
+    Each step moves by V |L|^-1 V^T g, Newton's step on -|H| for the
+    gradient g and Hessian H = V L V^T of |abar| in the moving coordinates
+    (those at a bound that the gradient pushes outward held fixed), no
+    longer than the candidate's step length.  Where H < 0 that is Newton's
+    own step; elsewhere it still climbs, scaled by the curvature (Nocedal &
+    Wright, Numerical Optimization, section 3.4).  A proposal is accepted
+    only if it does not lower |abar| by more than the rounding bound of the
+    two values; otherwise the step length halves below the rejected move.
+    A candidate retires once its move falls below rounding level, or after
+    a full Newton step below sqrt(eps), and ``steps`` caps the steps.
     """
     kernel = field.kernel
     p = kernel.dim
@@ -102,9 +109,13 @@ def _refine(field: AlphaField, Z, W, steps: int, step0: np.ndarray):
         if held.any():
             g = np.where(held, 0.0, g)
             H = np.where(held[:, :, None] | held[:, None, :], 0.0, H) - held[:, :, None] * eye
-        concave = np.all(np.linalg.eigvalsh(H) < 0.0, axis=1)
-        H[~concave] = -eye  # the gradient direction
-        move = -np.linalg.solve(H, g[:, :, None])[:, :, 0]
+        L, V = np.linalg.eigh(H)  # eigenvalues in ascending order
+        concave = L[:, -1] < 0.0
+        # a flat direction's |L| is floored at eps max|L|; H = 0 gives no move
+        L = np.abs(L)
+        L = np.maximum(L, _EPS * L.max(axis=1, keepdims=True))
+        Vg = (g[:, None, :] @ V)[:, 0]
+        move = (V @ np.divide(Vg, L, out=np.zeros_like(Vg), where=L > 0)[:, :, None])[:, :, 0]
         length = np.sqrt(np.sum(move**2, axis=1))
         newton = concave & (length <= step[active])
         cap = np.where(newton, length, step[active])
@@ -145,44 +156,34 @@ def find_peaks(field: AlphaField, cfg: PeakConfig | None = None):
     Z, W, _ = quadrature_nodes(field.kernel, field.variant, quad)
     vals = np.abs(field.smooth_at_nodes(Z, W))
 
-    if field.variant.kind == "fixed_centers":
-        # maxima along the width axis only; never across distinct centers
-        shape, axes = (field.variant.centers.shape[0], cfg.grid_widths), (1,)
-    else:
-        shape = (cfg.grid_centers,) * field.kernel.dim
-        if field.variant.kind == "full":
-            shape = shape + (cfg.grid_widths,)
-        axes = range(len(shape))
+    # quadrature_nodes lays the nodes out as centers x widths, widths fastest;
+    # maxima of fixed centers run along the width axis only
+    fixed = field.variant.kind == "fixed_centers"
+    shape = (field.variant.centers.shape[0],) if fixed else (cfg.grid_centers,) * field.kernel.dim
+    shape += (W.size // math.prod(shape),)
+    axes = (len(shape) - 1,) if fixed else range(len(shape))
     cand = _grid_local_maxima(vals, shape, axes)
     cand = cand[vals[cand] > threshold]
     if cand.size == 0:
         return []
 
-    box = field.kernel.box
-    span = float(np.min(box[:, 1] - box[:, 0]))
-    step0 = np.full(
-        cand.size, 0.5 * max(span / cfg.grid_centers, (field.kernel.w_hi - field.kernel.w_lo) / cfg.grid_widths)
-    )
-    Zr, Wr, mag = _refine(field, Z[cand], W[cand], _REFINE_STEPS, step0)
+    kernel = field.kernel
+    span = float(np.min(kernel.box[:, 1] - kernel.box[:, 0]))
+    step0 = 0.5 * max(span / cfg.grid_centers, (kernel.w_hi - kernel.w_lo) / cfg.grid_widths)
+    Zr, Wr, mag = _refine(field, Z[cand], W[cand], _REFINE_STEPS, np.full(cand.size, step0))
 
-    order = np.argsort(-mag)
     peaks = []
-    for i in order:
-        if mag[i] <= threshold:
-            continue
+    for i in np.argsort(-mag):
         z, w = Zr[i], float(Wr[i])
-        merged = False
-        for zk, wk in peaks:
-            radius = cfg.merge_radius if cfg.merge_radius is not None else 0.5 * wk
-            if np.sum((z - zk) ** 2) + (w - wk) ** 2 <= radius**2:
-                merged = True
-                break
-        if not merged:
+        # merged into a stronger peak within merge_radius (or half its width)
+        if mag[i] > threshold and not any(
+            np.sum((z - zk) ** 2) + (w - wk) ** 2 <= (cfg.merge_radius or 0.5 * wk) ** 2 for zk, wk in peaks
+        ):
             peaks.append((z, w))
     return peaks
 
 
-def subdivided_peaks(field: AlphaField, spacing_factor: float = 0.6, scan_nodes: int = 1024):
+def subdivided_peaks(field: AlphaField):
     """Kernel seeds for wide plateaus of a fixed-width field.
 
     The thresholded support of a fixed-width field can be a union of
@@ -191,11 +192,11 @@ def subdivided_peaks(field: AlphaField, spacing_factor: float = 0.6, scan_nodes:
     the support into connected islands, and gives each island of scanned
     length L and peak height h the seed count
 
-        n = 1 + ceil(max(0, L - F) / (factor * w0)),
+        n = 1 + ceil(max(0, L - F) / (s w0)),
         F = 2 w0 sqrt(2 ln(h / threshold)),
 
-    where F is the above-threshold footprint of a lone kernel of height h
-    (the whole axis at threshold 0).
+    where s is _SUBDIVIDE_SPACING and F is the above-threshold footprint
+    of a lone kernel of height h (the whole axis at threshold 0).
     So a kernel-shaped island, including one clipped by the box, gets one
     seed, placed at the island's scan argmax (its peak); wider islands get
     n seeds at equal mass quantiles of |abar|.
@@ -206,8 +207,8 @@ def subdivided_peaks(field: AlphaField, spacing_factor: float = 0.6, scan_nodes:
         raise ConfigError("subdivided_peaks scans a single center axis")
     w0 = field.variant.w0
     lo, hi = field.kernel.box[0]
-    zs = np.linspace(lo, hi, scan_nodes)
-    vals = np.abs(field.smooth_at_nodes(zs.reshape(-1, 1), np.full(scan_nodes, w0)))
+    zs = np.linspace(lo, hi, _SUBDIVIDE_SCAN)
+    vals = np.abs(field.smooth_at_nodes(zs.reshape(-1, 1), np.full(_SUBDIVIDE_SCAN, w0)))
     thr = field.threshold
     above = vals > thr
     edges = np.flatnonzero(np.diff(np.concatenate([[0], above.astype(int), [0]])))
@@ -217,7 +218,7 @@ def subdivided_peaks(field: AlphaField, spacing_factor: float = 0.6, scan_nodes:
         # at threshold 0 a lone kernel covers the whole axis
         footprint = 2.0 * w0 * np.sqrt(2.0 * np.log(v_seg.max() / thr)) if thr > 0 else np.inf
         excess = max(0.0, z_seg[-1] - z_seg[0] - footprint)
-        n = 1 + int(np.ceil(excess / (spacing_factor * w0)))
+        n = 1 + int(np.ceil(excess / (_SUBDIVIDE_SPACING * w0)))
         if n == 1:
             peaks.append((np.array([z_seg[np.argmax(v_seg)]]), w0))
             continue
@@ -228,25 +229,21 @@ def subdivided_peaks(field: AlphaField, spacing_factor: float = 0.6, scan_nodes:
     return peaks
 
 
-def refit_amplitudes(
-    peaks, samples: SampleSet, kernel: KernelSpec, ridge: float = 1e-10
-) -> DiscreteModel:
+def refit_amplitudes(peaks, samples: SampleSet, kernel: KernelSpec) -> DiscreteModel:
     """Least-squares amplitudes for the given (center, width) pairs.
 
-    Solves the ridge normal equations; a singular unregularized system is
-    reported and retried with ridge 1e-8.
+    Solves the ridge normal equations; a singular system is reported and
+    retried with ridge 1e-8.
     """
     if len(peaks) == 0:
         raise ConfigError("refit needs at least one peak")
-    if ridge < 0:
-        raise ConfigError("ridge must be nonnegative")
     Z = np.stack([np.asarray(z, dtype=float).ravel() for z, _ in peaks])
     W = np.asarray([w for _, w in peaks], dtype=float)
     Phi = kernels.cross(kernel, samples.X, Z, W)
     G = Phi.T @ Phi
     b = Phi.T @ samples.y
     try:
-        amps = np.linalg.solve(G + ridge * np.eye(len(peaks)), b)
+        amps = np.linalg.solve(G + _RIDGE * np.eye(len(peaks)), b)
         if not np.all(np.isfinite(amps)):
             raise np.linalg.LinAlgError("non-finite solution")
     except np.linalg.LinAlgError:
@@ -271,15 +268,9 @@ def polish_model(
     """
     if model.n_terms == 0 or steps == 0:
         return model
-    Z = model.centers.copy()
-    W = model.widths.copy()
-    box = kernel.box
-    y = samples.y
-    X = samples.X
-    J = model.n_terms
-
-    # a 1e-10 ridge keeps coincident terms solvable
-    ridge = 1e-10 * np.eye(J)
+    Z, W, J = model.centers, model.widths, model.n_terms
+    X, y, box = samples.X, samples.y, kernel.box
+    ridge = _RIDGE * np.eye(J)
 
     def refit(Phi):
         amps = np.linalg.solve(Phi.T @ Phi + ridge, Phi.T @ y)
@@ -294,16 +285,14 @@ def polish_model(
         M = (resid[:, None] * Phi) * amps[None, :]
         gz = -2.0 * (M.T[:, :, None] * (X[None, :, :] - Z[:, None, :])).sum(axis=1)
         gz /= (W**2)[:, None]
-        gw = None
-        if refine_widths:
-            gw = -2.0 * (M * d2).sum(axis=0) / W**3
-        norm = np.sqrt(np.sum(gz**2) + (np.sum(gw**2) if gw is not None else 0.0))
+        gw = -2.0 * (M * d2).sum(axis=0) / W**3 if refine_widths else np.zeros(J)
+        norm = np.sqrt(np.sum(gz**2) + np.sum(gw**2))
         if norm == 0.0 or not np.isfinite(norm):
             break
         improved = False
         while step > 1e-12 * float(np.min(W)):
             Zp = np.clip(Z - step * gz / norm, box[:, 0], box[:, 1])
-            Wp = np.clip(W - step * gw / norm, kernel.w_lo, kernel.w_hi) if gw is not None else W
+            Wp = np.clip(W - step * gw / norm, kernel.w_lo, kernel.w_hi)
             # Wp lies in the width domain: the Gaussian straight from the
             # distances, as kernels.cross evaluates it
             d2_p = kernels.sqdist(X, Zp)

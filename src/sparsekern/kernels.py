@@ -52,11 +52,6 @@ class KernelSpec(Document):
     def dim(self) -> int:
         return self.box.shape[0]
 
-    # accepts points up to 1e-9 outside the box
-    def contains_center(self, z) -> bool:
-        z = np.asarray(z, dtype=float)
-        return bool(np.all(z >= self.box[:, 0] - 1e-9) and np.all(z <= self.box[:, 1] + 1e-9))
-
 
 def _check_width(spec: KernelSpec, w) -> None:
     """Refuse any width outside [w_lo, w_hi], naming the first one."""
@@ -64,6 +59,14 @@ def _check_width(spec: KernelSpec, w) -> None:
     outside = (w < spec.w_lo) | (w > spec.w_hi)
     if outside.any():
         raise DomainError(f"width {w[outside].flat[0]} outside domain [{spec.w_lo}, {spec.w_hi}]")
+
+
+def _check_center(spec: KernelSpec, Z) -> None:
+    """Refuse any center outside the box (or not a number), naming the first one."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    outside = ~np.all((Z >= spec.box[:, 0]) & (Z <= spec.box[:, 1]), axis=1)
+    if outside.any():
+        raise DomainError(f"center {Z[outside][0].tolist()} outside the box {spec.box.tolist()}")
 
 
 def sqdist(X, Z) -> np.ndarray:

@@ -55,8 +55,6 @@ class DiscreteModel:
 
     def predict_batch(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.n_terms == 0:
-            return np.zeros(X.shape[0])
         d2 = kernels.sqdist(X, self.centers)
         return np.exp(-d2 / (2.0 * self.widths[None, :] ** 2)) @ self.amplitudes
 

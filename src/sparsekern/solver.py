@@ -546,7 +546,8 @@ def fit(
     """Maximise the dual from the start ``_start`` picks; returns (DualState, AlphaField).
 
     The state holds the iterations run (``t``) and the certificate of the
-    field on the midpoint quadrature.  Runs are bit-identical.
+    field on the midpoint quadrature.  Runs are bit-identical under a fixed
+    BLAS thread count.
     """
     problem = Problem(samples, kernel, loss, variant, config.gamma)
     Z, W, wts = quadrature_nodes(kernel, variant, Quadrature(config.center_nodes, config.width_nodes))

@@ -66,6 +66,17 @@ def test_fixed_width_outside_the_width_domain_is_named_on_one_line(width, train_
     assert len(err) == 1 and err[0].startswith("error: ") and f"width {width} " in err[0]
 
 
+def test_fixed_center_outside_the_box_is_named_on_one_line(train_csv, tmp_path, capsys):
+    # the kernel section's default box is the data's, [0, 3]
+    centers = tmp_path / "centers.csv"
+    centers.write_text("0.5\n1.5\n3.25\n4.0\n")
+    out = str(tmp_path / "m.json")
+    argv = ["fit", train_csv, *FIT_FLAGS, "--variant", f"fixed-centers={centers}", "--out", out]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "center [3.25] " in err[0]
+
+
 @pytest.mark.parametrize("text", ["", "\n\n"])
 def test_empty_fixed_centers_file_exits_2_without_a_warning(text, train_csv, tmp_path, capsys):
     centers = tmp_path / "centers.csv"

@@ -34,3 +34,11 @@ def test_paper_scale_rep_runs_the_certified_solver(name, monkeypatch):
     assert all(np.isfinite([state.g, state.primal, state.rel_gap, state.max_c]))
     mses = [v for k, v in row.items() if "mse" in k]
     assert mses and all(np.isfinite(mses))
+
+
+def test_worker_count_leaves_the_rows_unchanged(monkeypatch):
+    # pii_full's ten desk reps, in one process and on a pool of two
+    monkeypatch.setenv("SPARSEKERN_THREADS", "1")
+    serial = experiments.run_experiment("pii_full").rows
+    monkeypatch.setenv("SPARSEKERN_THREADS", "2")
+    assert experiments.run_experiment("pii_full").rows == serial

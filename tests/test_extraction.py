@@ -16,7 +16,7 @@ from sparsekern import (
     gen_remark1,
     refit_amplitudes,
 )
-from sparsekern import kernels
+from sparsekern import extraction, kernels
 from sparsekern.errors import ConfigError
 from sparsekern.extraction import polish_model, subdivided_peaks
 
@@ -85,7 +85,7 @@ def test_refit_recovers_unit_amplitude():
     z0, w0 = np.array([2.2]), 0.9
     y = kernels.cross(KERNEL, X, z0[None, :], w0)[:, 0]
     data = SampleSet(X, y, np.array([[0.0, 5.0]]))
-    model = refit_amplitudes([(z0, w0)], data, KERNEL, ridge=0.0)
+    model = refit_amplitudes([(z0, w0)], data, KERNEL)
     assert model.amplitudes[0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -102,8 +102,8 @@ def test_refit_duplicate_peak_stays_finite():
     data = SampleSet(X, y, np.array([[0.0, 5.0]]))
     peak = (np.array([2.0]), 1.0)
     other = (np.array([3.5]), 0.8)
-    dup = refit_amplitudes([peak, peak, other], data, KERNEL, ridge=1e-8)
-    dedup = refit_amplitudes([peak, other], data, KERNEL, ridge=1e-8)
+    dup = refit_amplitudes([peak, peak, other], data, KERNEL)
+    dedup = refit_amplitudes([peak, other], data, KERNEL)
     assert np.all(np.isfinite(dup.amplitudes))
     assert np.allclose(dup.predict_batch(X), dedup.predict_batch(X), atol=1e-6)
 
@@ -120,7 +120,7 @@ def test_refit_never_beats_zero_baseline_backwards():
 
 
 def test_predict_discrete_values():
-    assert DiscreteModel.empty(1).predict_batch([[1.0]])[0] == 0.0
+    assert np.array_equal(DiscreteModel.empty(1).predict_batch(np.ones((4, 1))), np.zeros(4))
     single = DiscreteModel(np.array([1.0]), np.array([[2.0]]), np.array([0.7]))
     assert single.predict_batch([[2.0]])[0] == 1.0
     rng = np.random.default_rng(7)
@@ -154,7 +154,7 @@ def test_subdivided_peaks_single_blob_reduces_to_peak():
     pair = gen_remark1(2, 9)
     data = SampleSet(pair.X[:1], pair.y[:1], pair.box)
     field = AlphaField(data, np.array([2.0]), 0.5, KERNEL, ProblemVariant.fixed_width(1.0))
-    peaks = subdivided_peaks(field, spacing_factor=1.0)
+    peaks = subdivided_peaks(field)
     assert len(peaks) == 1
     assert abs(peaks[0][0][0] - data.X[0, 0]) < 0.05
 
@@ -166,18 +166,17 @@ def test_subdivided_peaks_interior_lone_kernel_gives_one_seed_at_its_center(gamm
     # gamma 0: the whole axis is one island
     data = SampleSet(np.array([[2.2]]), np.array([1.0]), np.array([[0.0, 5.0]]))
     field = AlphaField(data, np.array([3.0]), gamma, KERNEL, ProblemVariant.fixed_width(0.5))
-    scan_nodes = 1024
-    peaks = subdivided_peaks(field, spacing_factor=0.6, scan_nodes=scan_nodes)
+    peaks = subdivided_peaks(field)
     assert len(peaks) == 1
-    assert abs(peaks[0][0][0] - 2.2) <= 5.0 / (scan_nodes - 1)
+    assert abs(peaks[0][0][0] - 2.2) <= 5.0 / (extraction._SUBDIVIDE_SCAN - 1)
 
 
 def test_subdivided_peaks_wide_plateau_keeps_several_seeds():
-    w0, factor = 0.5, 0.6
+    w0, factor = 0.5, extraction._SUBDIVIDE_SPACING
     X = (1.0 + 0.3 * np.arange(9)).reshape(-1, 1)  # equal weights spaced below w0
     data = SampleSet(X, np.zeros(9), np.array([[0.0, 5.0]]))
     field = AlphaField(data, np.ones(9), 0.5, KERNEL, ProblemVariant.fixed_width(w0))
-    peaks = subdivided_peaks(field, spacing_factor=factor)
+    peaks = subdivided_peaks(field)
     gaps = np.diff(np.sort([z[0] for z, _ in peaks]))
     assert len(peaks) > 1
     assert np.all((gaps >= factor * w0) & (gaps <= 2 * factor * w0))
