@@ -146,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--config",
         help="JSON with solver/kernel/loss sections; solver center_nodes counts the centers per "
         "input axis, so p-dimensional data get center_nodes^p centers (times width_nodes widths "
-        "in the full variant)",
+        "in the full variant), and a grid whose kernel matrix can be neither held nor factored "
+        "exits 2",
     )
     p_fit.add_argument("--variant", default="full", help="full | fixed-width=W | fixed-centers=FILE")
     p_fit.add_argument("--out", required=True, help="output model JSON path")

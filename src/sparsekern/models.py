@@ -73,11 +73,11 @@ class DiscreteModel:
         terms = d["terms"]
         if not terms:
             return cls.empty(d.get("dim", dim if dim is not None else 1))
-        return cls(
-            np.asarray([t["a"] for t in terms], dtype=float),
-            np.asarray([t["z"] for t in terms], dtype=float),
-            np.asarray([t["w"] for t in terms], dtype=float),
-        )
+        a, z, w = (np.asarray([t[key] for t in terms], dtype=float) for key in "azw")
+        # JSON NaN and Infinity parse, and a term holding one makes a meaningless model
+        if not (np.isfinite(a).all() and np.isfinite(z).all() and np.isfinite(w).all()):
+            raise DomainError("model terms must hold finite a, z and w")
+        return cls(a, z, w)
 
     def save(self, path) -> None:
         save_json(self.to_dict(), path)

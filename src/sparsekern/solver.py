@@ -28,9 +28,10 @@ rel_gap = |P - g| / max(1, |P|) with P = integral of alpha^2 / 2 + gamma
 constraint violation.  ``fit`` stops when both are at most ``tol``;
 ``iters`` is a cap.
 
-Every kernel matrix, held, streamed or factored, is certified by one
-routine, ``_NodeMatrix.certificate_terms``, whose class docstring states
-the rule.  A held K whose numerical rank r is far below N, read from a
+The kernel matrix K is held, or factored from chunked reads, or refused
+before any step; dense or factored, it is certified by one routine,
+``_NodeMatrix.certificate_terms``, whose class docstring states both
+rules.  A K whose numerical rank r is far below N, read from a
 random-sign sketch, is factored once, and every product then runs on an
 r-dimensional basis: O((N + G) r) per step in place of O(N G).
 """
@@ -60,7 +61,8 @@ from .errors import ConfigError, DivergenceError, DomainError
 from .kernels import KernelSpec
 from .losses import Loss
 
-# above this many kernel-matrix entries, stream the grid in chunks
+# a K of at most this many entries is held; a larger one is factored from
+# chunked reads when its M has at most this many, else refused
 _PRECOMPUTE_LIMIT = 30_000_000
 # kernels.cross builds the node-major matrix this many nodes at a time
 _BLOCK = 512
@@ -70,7 +72,7 @@ _BLOCK = 512
 # each on the block against 11.1-11.6 us gathered (one thread)
 _GATHER_MIN_ENTRIES = 100_000
 _EPS = np.finfo(float).eps
-# the sketch of a low-rank K and the check of its factor take this many nodes
+# the sketch of a low-rank K and the check of its factor read this many nodes
 # at a time
 _CHECK_BLOCK = 128
 # the factoring rule's probe sketches every _PROBE_STRIDE-th node: on pii_full's
@@ -144,14 +146,14 @@ class _NodeMatrix:
     """K[i, j] = k(x_i; z_j, w_j) on the midpoint nodes, stored node-major: one row per node.
 
     The midpoint rule gives every node the same weight w, its cell's
-    volume, so K diag(w) = w K.  Held whole (``_rows`` is K^T, G x N), or
-    rebuilt in chunks of nodes when it would exceed _PRECOMPUTE_LIMIT
-    entries (``_rows`` is None).  The constructor factors a held K of low
-    numerical rank (``_factor``), forms the Gram A = w K K^T and keeps it,
-    with its largest eigenvalue as ``lipschitz``.  It keeps A's
-    eigenvectors only until ``spectral_path`` has built the ascent's start
-    from them; factored, they are C's, lifted by P^T, so no N x N
-    eigenproblem is solved.
+    volume, so K diag(w) = w K.  ``_rows`` is K^T (G x N), held whole,
+    when K has at most _PRECOMPUTE_LIMIT entries; else M of its factor
+    (below), when M has at most that many; else the constructor raises a
+    ConfigError.  It factors any K of low numerical rank (``_factor``),
+    forms the Gram A = w K K^T and keeps it, with its largest eigenvalue
+    as ``lipschitz``.  It keeps A's eigenvectors only until
+    ``spectral_path`` has built the ascent's start from them; factored,
+    they are C's, lifted by P^T, so no N x N eigenproblem is solved.
 
     Factored, K^T = M P, with P (r x N) of orthonormal rows and M = K^T P^T
     (G x r), whose rows take the place of K's, and K is released.  A step
@@ -210,27 +212,27 @@ class _NodeMatrix:
     fits of seeds 1, 7 and 41 the float32 error stays under 7.8% of
     gamma_{q+6} scale.
 
-    A held K, dense or factored, keeps the gathered rows across steps: a
-    block gathered on exactly the needed nodes, kept while it still holds
-    every needed node on the same side.  A streamed K keeps no block: its
-    gathered rows are built each step, _step nodes at a time, since a kept
-    block raised the peak RSS of a 1900-point streamed fit from 344 to 385
-    MB.
+    The gathered rows of K^T or M are kept across steps: a block gathered
+    on exactly the needed nodes, kept while it still holds every needed
+    node on the same side.
     """
 
     def __init__(self, kernel, X, Z, W, wts):
         self._args = (kernel, X, Z, W)
         self._w = float(wts[0])  # every midpoint node's weight
-        self._step = max(1, _PRECOMPUTE_LIMIT // X.shape[0])
-        G = Z.shape[0]
-        self._small = X.shape[0] * G < _GATHER_MIN_ENTRIES  # no gather pays below
-        self._rows = self._build(np.arange(G)) if G <= self._step else None
+        N, G = X.shape[0], Z.shape[0]
+        self._small = N * G < _GATHER_MIN_ENTRIES  # no gather pays below
+        held = N * G <= _PRECOMPUTE_LIMIT
+        self._rows = self._build(np.arange(G)) if held else None
         self._basis = None  # P, once factored
-        if self._rows is not None:
-            self._factor()
+        if not self._factor() and not held:
+            raise ConfigError(
+                f"the {N} x {G} kernel matrix has more than {_PRECOMPUTE_LIMIT:,} entries and "
+                "cannot be factored; lower the solver's center_nodes (per input axis) or width_nodes"
+            )
         # a small K's one block of every node, else the kept block
         self._block = _Block(slice(None), True, self._rows) if self._small else None
-        self._gram = self._w * sum(rows.T @ rows for _, rows in self._chunks())
+        self._gram = self._w * (self._rows.T @ self._rows)
         # A's eigenpairs, in u's coordinates; spectral_path reads and drops them
         self._eig = np.linalg.eigh(self._gram)
         self.lipschitz = float(self._eig[0][-1])  # ||K diag(w) K^T||
@@ -243,13 +245,6 @@ class _NodeMatrix:
             part = nodes[j : j + _BLOCK]
             rows[j : j + _BLOCK] = kernels.cross(kernel, X, Z[part], W[part]).T
         return rows
-
-    def _chunks(self):
-        if self._rows is not None:
-            return [(slice(None), self._rows)]
-        G = self._args[2].shape[0]
-        parts = [np.arange(s, min(s + self._step, G)) for s in range(0, G, self._step)]
-        return ((part, self._build(part)) for part in parts)
 
     def _lift(self, u):
         """P^T u once factored, else u."""
@@ -269,21 +264,29 @@ class _NodeMatrix:
         return path
 
     def _factor(self) -> bool:
-        """Replace the held K^T by M P; returns whether it did.
+        """Factor K^T = M P and keep M as ``_rows``; returns whether it did.
 
-        P spans a random-sign sketch K Omega^T of K's column space, with
-        Omega k x G and k = N G / (2 (N + G)); signs draw in 1 ms on cli_fit
-        where Gaussians took 8, at the same r.  K is factored when at most
-        h = N G / (4 (N + G)) of the sketch's singular values exceed
-        sqrt(eps) times the largest; a probe of h + 1 columns on every
+        K^T is read _CHECK_BLOCK nodes at a time, as views of the held K^T
+        or else from kernels.cross, which gives the same entries.  P spans
+        a random-sign sketch K Omega^T of K's column space, with Omega k x
+        G and k = N G / (2 (N + G)); signs draw in 1 ms on cli_fit where
+        Gaussians took 8, at the same r.  K is factored when at most h = N
+        G / (4 (N + G)) of the sketch's singular values exceed sqrt(eps)
+        times the largest; a probe of h + 1 columns on every
         _PROBE_STRIDE-th node keeps K dense first when all of its values
         do.  r is the number of the sketch's singular values above eps
-        times the largest, and K stays unless r < k and max|K^T - M P| <=
-        N eps, checked on _CHECK_BLOCK nodes at a time, so no N x G
-        temporary is formed.
+        times the largest, and K is not factored unless r < k, M has at
+        most _PRECOMPUTE_LIMIT entries and max|K^T - M P| <= N eps, checked
+        block by block, so no N x G temporary is formed.
         """
         Kt = self._rows
-        G, N = Kt.shape
+        N, G = self._args[1].shape[0], self._args[2].shape[0]
+        nodes = np.arange(G)
+
+        def read(part):
+            """K^T on the nodes ``part``: a view of the held K^T, else built."""
+            return Kt[part] if Kt is not None else self._build(nodes[part])
+
         k = N * G // (2 * (N + G))
         h = N * G // (4 * (N + G))
         if h < 1:  # not even rank 1 would pay
@@ -296,7 +299,7 @@ class _NodeMatrix:
             out = np.zeros((N, cols))
             for j in range(0, G, stride * _CHECK_BLOCK):
                 part = slice(j, j + stride * _CHECK_BLOCK, stride)
-                out += Kt[part].T @ (1.0 - 2.0 * np.unpackbits(bits[part], axis=1, count=cols))
+                out += read(part).T @ (1.0 - 2.0 * np.unpackbits(bits[part], axis=1, count=cols))
             return out
 
         probe = sketch(_PROBE_STRIDE, h + 1)
@@ -307,10 +310,12 @@ class _NodeMatrix:
         r = int(np.count_nonzero(sv > _EPS * sv[0]))
         if not sv[0] > 0 or np.count_nonzero(sv > math.sqrt(_EPS) * sv[0]) > h or r >= k:
             return False
+        if G * r > _PRECOMPUTE_LIMIT:  # never for a held K: r < N
+            return False
         basis = np.ascontiguousarray(U[:, :r].T)
         M = np.empty((G, r))
         for j in range(0, G, _CHECK_BLOCK):
-            block = Kt[j : j + _CHECK_BLOCK]
+            block = read(slice(j, j + _CHECK_BLOCK))
             M[j : j + _CHECK_BLOCK] = block @ basis.T
             if np.max(np.abs(block - M[j : j + _CHECK_BLOCK] @ basis)) > N * _EPS:
                 return False
@@ -344,8 +349,7 @@ class _NodeMatrix:
         """abar = K^T lam at the nodes, as a _Surface (see the class docstring)."""
         if self._basis is not None:
             return self._surface(self._basis @ lam)
-        parts = [rows @ lam for _, rows in self._chunks()]
-        return _Surface(lam, parts[0] if len(parts) == 1 else np.concatenate(parts), 0.0)
+        return _Surface(lam, self._rows @ lam, 0.0)
 
     def _surface(self, u):
         """The float32 pass for u = P lam, or the exact one outside float32's range."""
@@ -397,12 +401,7 @@ class _NodeMatrix:
             sq, n_on = float(surf.u @ cu) - sq, G - n_on
         if not with_yhat:
             return w * n_on, sq, n_on / G, None
-        if rows is not None:
-            part = s @ rows
-        else:  # streamed: only the gathered nodes go through kernels.cross
-            part = np.zeros(surf.u.size)
-            for j in range(0, len(nodes), self._step):
-                part += s[j : j + self._step] @ self._build(nodes[j : j + self._step])
+        part = s @ rows
         part *= w
         return w * n_on, sq, n_on / G, self._lift(part if on_side else cu - part)
 
@@ -412,10 +411,10 @@ class _NodeMatrix:
         A small K returns its one block.  The needed nodes are the smaller
         side of the support as s places it, the support itself
         (``on_side``) or its complement, with every node within the
-        surface's error bound of the threshold.  A held K returns its kept
-        block, a superset of the needed nodes, gathered again on exactly
-        them when the side changes or a needed node falls outside it; a
-        streamed K returns the needed nodes, without rows.
+        surface's error bound of the threshold.  Any other K returns its
+        kept block, a superset of the needed nodes, gathered again on
+        exactly them when the side changes or a needed node falls outside
+        it.
         """
         if self._small:
             return self._block
@@ -432,8 +431,6 @@ class _NodeMatrix:
         if count > limit:
             on_side, needed = True, a > cast(tau - bound)  # on the support, or undecided
             count = np.count_nonzero(needed)
-        if self._rows is None:
-            return _Block(np.flatnonzero(needed), on_side, None)
         block = self._block
         # fewer needed nodes in the block than in all: one of them fell outside it
         kept = block is not None and block.on_side == on_side
@@ -445,8 +442,8 @@ class _NodeMatrix:
 
 
 # the nodes whose exact values a certificate reads (a small K's slice of every
-# node), the side of the support they hold, and the rows of K^T (or M) there:
-# kept across steps by a held K, None for a streamed one
+# node), the side of the support they hold, and the rows of K^T (or M) there,
+# kept across steps
 _Block = namedtuple("_Block", "nodes on_side rows")
 
 
@@ -552,20 +549,20 @@ def fit(
     problem = Problem(samples, kernel, loss, variant, config.gamma)
     Z, W, wts = quadrature_nodes(kernel, variant, Quadrature(config.center_nodes, config.width_nodes))
     g_trace = []
-    with open(trace_path, "w", newline="") if trace_path else contextlib.nullcontext() as fh:
-        writer = csv.writer(fh) if fh else None
-        if writer:
-            writer.writerow(["t", "g", "rel_gap", "max_violation", "support_fraction"])
+    # overflow and NaN surface as a DivergenceError, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = _NodeMatrix(kernel, samples.X, Z, W, wts)  # a refused K writes no trace
+        with open(trace_path, "w", newline="") if trace_path else contextlib.nullcontext() as fh:
+            writer = csv.writer(fh) if fh else None
+            if writer:
+                writer.writerow(["t", "g", "rel_gap", "max_violation", "support_fraction"])
 
-        def record(t, cert, final):
-            if t % _TRACE_EVERY == 0 or final:
-                g_trace.append((t, cert.g))
-                if writer:
-                    writer.writerow([t, cert.g, cert.rel_gap, max(0.0, cert.max_c), cert.support])
+            def record(t, cert, final):
+                if t % _TRACE_EVERY == 0 or final:
+                    g_trace.append((t, cert.g))
+                    if writer:
+                        writer.writerow([t, cert.g, cert.rel_gap, max(0.0, cert.max_c), cert.support])
 
-        # overflow and NaN surface as a DivergenceError, not as warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            op = _NodeMatrix(kernel, samples.X, Z, W, wts)
             lam, t, cert = _accelerated_ascent(problem, op, config, record)
     converged = cert.rel_gap <= config.tol and cert.max_c <= config.tol
     state = DualState(lam, t, g_trace, converged, *cert[:4])

@@ -134,6 +134,30 @@ def test_non_finite_flag_exits_2_naming_it(flag, value, train_csv, tmp_path, cap
     assert len(err) == 1 and err[0].startswith("error: ") and flag[2:] in err[0]
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("w", float("nan")), ("a", float("inf")), ("z", [float("nan")]), ("w", float("inf"))],
+)
+def test_non_finite_model_term_exits_2(key, value, train_csv, tmp_path, capsys):
+    # Python's json reads NaN and Infinity; such a term would print nan, inf
+    # or a finite MSE from a meaningless model
+    term = dict({"a": 1.0, "z": [1.0], "w": 0.5}, **{key: value})
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dim": 1, "terms": [term]}))
+    assert fails_with_one_error_line(["eval", str(path), train_csv], capsys)
+
+
+def test_kernel_matrix_that_cannot_be_held_or_factored_exits_2(train_csv, tmp_path, monkeypatch, capsys):
+    # 30 points on 256 x 64 nodes: 491,520 entries past this limit, and a
+    # rank well above the h = 7 that would pay for a factor
+    monkeypatch.setattr(cli.solver, "_PRECOMPUTE_LIMIT", 30 * 1000)
+    out = tmp_path / "m.json"
+    assert cli.main(["fit", train_csv, *FIT_FLAGS, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "center_nodes" in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
+
+
 @pytest.mark.parametrize("section, key", [("kernel", "w_lo"), ("loss", "clamp_radius")])
 def test_boolean_in_kernel_or_loss_section_is_named(section, key, train_csv, tmp_path, capsys):
     # JSON true would pass for the number 1, as the solver section refuses it

@@ -309,17 +309,14 @@ def test_streamed_kernel_matrix_matches_the_held_one(monkeypatch):
     # gather even at this size
     monkeypatch.setattr(solver_mod, "_GATHER_MIN_ENTRIES", 0)
     held = solver_mod._NodeMatrix(KERNEL, data.X, Z, W, wts)
-    # at most 7 * 45 entries per chunk: 8 chunks of the 320 nodes
-    monkeypatch.setattr(solver_mod, "_PRECOMPUTE_LIMIT", 7 * 45)
-    streamed = solver_mod._NodeMatrix(KERNEL, data.X, Z, W, wts)
-    assert held._rows is not None and held._basis is None and streamed._rows is None
+    assert held._rows is not None and held._basis is None
     assert small._small and not held._small and small._basis is None
     lam = np.linspace(-1.0, 1.0, 7)
     # a multiplier of norm 1e4
     big = np.cos(3.0 * np.arange(7.0))
     big *= 1e4 / np.linalg.norm(big)
     one_block = small._block
-    for op in (held, streamed, small):
+    for op in (held, small):
         assert np.allclose(op.surface(lam).s, K.T @ lam, rtol=1e-13, atol=1e-13)
         assert op.surface(lam).scale == 0.0
         # the step 1/L rests on the exact spectral norm of K diag(w) K^T
@@ -328,8 +325,34 @@ def test_streamed_kernel_matrix_matches_the_held_one(monkeypatch):
         for share in (0.0, 0.15, 0.25, 0.3, 0.4, 0.5, 0.75, 0.85, 1.0):
             assert_certificate_terms_match_the_dense_pass(op, K, wts, lam, share)
         assert_certificate_terms_match_the_dense_pass(op, K, wts, big, 0.8)
-    # a streamed K keeps no block of rows across steps; a small K keeps its one
-    assert held._block is not None and streamed._block is None and small._block is one_block
+    # a held K keeps its gathered block across steps; a small K keeps its one
+    assert held._block is not None and small._block is one_block
+    # past _PRECOMPUTE_LIMIT, K is factored from chunked reads or refused:
+    # this one's h = 1 leaves no rank to factor at
+    monkeypatch.setattr(solver_mod, "_PRECOMPUTE_LIMIT", 7 * 45)
+    with pytest.raises(ConfigError, match="center_nodes"):
+        solver_mod._NodeMatrix(KERNEL, data.X, Z, W, wts)
+    # cli_fit's low-rank K, held at N G entries and read in blocks past them,
+    # factors to the same bits
+    monkeypatch.setattr(solver_mod, "_PRECOMPUTE_LIMIT", 300 * 96 * 32)
+    factored, K, wts, _ = cli_fit_operator(1)
+    N, G = K.shape
+    monkeypatch.setattr(solver_mod, "_PRECOMPUTE_LIMIT", N * G - 1)
+    read = cli_fit_operator(1)[0]
+    assert read._basis is not None and read._rows.size <= N * G - 1
+    for name in ("_basis", "_rows", "_gram", "_cols32"):
+        assert np.array_equal(getattr(read, name), getattr(factored, name)), name
+    assert read.lipschitz == factored.lipschitz
+    lam = np.linspace(-1.0, 1.0, N)
+    big = np.cos(3.0 * np.arange(float(N)))
+    big *= 1e4 / np.linalg.norm(big)
+    for share in (0.0, 0.15, 0.25, 0.3, 0.4, 0.5, 0.75, 0.85, 1.0):
+        assert_certificate_terms_match_the_dense_pass(read, K, wts, lam, share)
+    assert_certificate_terms_match_the_dense_pass(read, K, wts, big, 0.8)
+    # a factor whose M would not be held either is refused
+    monkeypatch.setattr(solver_mod, "_PRECOMPUTE_LIMIT", read._rows.size - 1)
+    with pytest.raises(ConfigError, match="width_nodes"):
+        cli_fit_operator(1)
 
 
 def test_hinge_needs_plus_minus_one_labels():
