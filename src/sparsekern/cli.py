@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit a certified sparse kernel model to a CSV dataset")
-    p_fit.add_argument("data", help="training data CSV (x1,...,xp,y)")
+    p_fit.add_argument("data", help="training data CSV with a header row (x1,...,xp,y)")
     p_fit.add_argument(
         "--config",
         help="JSON with solver/kernel/loss sections; solver center_nodes counts the centers per "
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="print a saved model's MSE on a CSV dataset")
     p_eval.add_argument("model", help="discrete model JSON written by fit --out")
-    p_eval.add_argument("data", help="data CSV")
+    p_eval.add_argument("data", help="data CSV with a header row (x1,...,xp,y)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_exp = sub.add_parser("experiment", help="run a reproduction experiment")

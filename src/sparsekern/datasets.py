@@ -37,7 +37,7 @@ class SampleSet(Document):
             raise DomainError("box must be (p, 2) for p-dimensional samples")
         if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
             raise DomainError("samples and labels must be finite")
-        if np.any(X < box[:, 0] - 1e-9) or np.any(X > box[:, 1] + 1e-9):
+        if np.any(X < box[:, 0]) or np.any(X > box[:, 1]):
             raise DomainError("some sample lies outside the domain box")
         for name, arr in (("X", X), ("y", y), ("box", box)):
             arr.setflags(write=False)
@@ -125,6 +125,9 @@ def save_csv(samples: SampleSet, path) -> None:
 def load_csv(path) -> SampleSet:
     """Read a ``x1,...,xp,y`` (or ``...,label``) CSV into a SampleSet.
 
+    Line 1 must be the header: a line whose fields all parse as numbers is
+    refused, so a file without one never loses its first sample.
+
     The domain box is the per-axis data range, padded slightly so boundary
     samples stay interior.
     """
@@ -138,6 +141,12 @@ def load_csv(path) -> SampleSet:
         ncol = len(header)
         if ncol < 2:
             raise ConfigError(f"{path}: need at least one feature and a label column")
+        try:  # a first line of numbers is a sample, not a header
+            [float(v) for v in header]
+        except ValueError:
+            pass
+        else:
+            raise ConfigError(f"{path}: line 1 holds numbers; expected a x1,...,xp,y header row")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue

@@ -52,8 +52,6 @@ def _grid_local_maxima(vals: np.ndarray, shape, axes) -> np.ndarray:
     v = vals.reshape(shape)
     keep = np.ones_like(v, dtype=bool)
     for ax in axes:
-        if v.shape[ax] == 1:
-            continue
         lo = [slice(None)] * v.ndim
         hi = [slice(None)] * v.ndim
         lo[ax] = slice(None, -1)

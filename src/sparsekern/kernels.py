@@ -88,9 +88,10 @@ def sqdist(X, Z) -> np.ndarray:
 def cross(spec: KernelSpec, X, Z, W, with_sqdist: bool = False):
     """Kernel matrix K[i, g] = k(x_i, Z_g; W_g) between samples and nodes.
 
-    ``W`` may be a scalar (one width for every node) or a length-G vector.
-    With ``with_sqdist`` the squared-distance matrix is returned as well,
-    which gradient evaluations reuse.
+    ``W`` may be a scalar (one width for every node), a length-G vector,
+    or a column of one width per row of X, which gives K^T bit for bit
+    from ``cross(spec, Z, X, W[:, None])``.  With ``with_sqdist`` the
+    squared-distance matrix is returned as well, which gradients reuse.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))

@@ -64,8 +64,6 @@ from .losses import Loss
 # a K of at most this many entries is held; a larger one is factored from
 # chunked reads when its M has at most this many, else refused
 _PRECOMPUTE_LIMIT = 30_000_000
-# kernels.cross builds the node-major matrix this many nodes at a time
-_BLOCK = 512
 # below this many kernel-matrix entries a gather costs more than it saves, so
 # the certificate reads one fixed block of every node: over the 86,192
 # certificates of the seed-0 komp_sparsity desk fits (K 20 x 256), 6.5-6.8 us
@@ -147,8 +145,9 @@ class _NodeMatrix:
 
     The midpoint rule gives every node the same weight w, its cell's
     volume, so K diag(w) = w K.  ``_rows`` is K^T (G x N), held whole,
-    when K has at most _PRECOMPUTE_LIMIT entries; else M of its factor
-    (below), when M has at most that many; else the constructor raises a
+    read in one kernels.cross call, when K has at most _PRECOMPUTE_LIMIT
+    entries; else M of its factor (below), from one call per _CHECK_BLOCK
+    nodes, when M has at most that many; else the constructor raises a
     ConfigError.  It factors any K of low numerical rank (``_factor``),
     forms the Gram A = w K K^T and keeps it, with its largest eigenvalue
     as ``lipschitz``.  It keeps A's eigenvectors only until
@@ -223,7 +222,7 @@ class _NodeMatrix:
         N, G = X.shape[0], Z.shape[0]
         self._small = N * G < _GATHER_MIN_ENTRIES  # no gather pays below
         held = N * G <= _PRECOMPUTE_LIMIT
-        self._rows = self._build(np.arange(G)) if held else None
+        self._rows = kernels.cross(kernel, Z, X, W[:, None]) if held else None
         self._basis = None  # P, once factored
         if not self._factor() and not held:
             raise ConfigError(
@@ -236,15 +235,6 @@ class _NodeMatrix:
         # A's eigenpairs, in u's coordinates; spectral_path reads and drops them
         self._eig = np.linalg.eigh(self._gram)
         self.lipschitz = float(self._eig[0][-1])  # ||K diag(w) K^T||
-
-    def _build(self, nodes):
-        """The rows K[:, nodes]^T, from kernels.cross on at most _BLOCK nodes at a time."""
-        kernel, X, Z, W = self._args
-        rows = np.empty((len(nodes), X.shape[0]))
-        for j in range(0, len(nodes), _BLOCK):
-            part = nodes[j : j + _BLOCK]
-            rows[j : j + _BLOCK] = kernels.cross(kernel, X, Z[part], W[part]).T
-        return rows
 
     def _lift(self, u):
         """P^T u once factored, else u."""
@@ -267,25 +257,25 @@ class _NodeMatrix:
         """Factor K^T = M P and keep M as ``_rows``; returns whether it did.
 
         K^T is read _CHECK_BLOCK nodes at a time, as views of the held K^T
-        or else from kernels.cross, which gives the same entries.  P spans
-        a random-sign sketch K Omega^T of K's column space, with Omega k x
-        G and k = N G / (2 (N + G)); signs draw in 1 ms on cli_fit where
-        Gaussians took 8, at the same r.  K is factored when at most h = N
-        G / (4 (N + G)) of the sketch's singular values exceed sqrt(eps)
-        times the largest; a probe of h + 1 columns on every
-        _PROBE_STRIDE-th node keeps K dense first when all of its values
-        do.  r is the number of the sketch's singular values above eps
-        times the largest, and K is not factored unless r < k, M has at
+        or else in one kernels.cross call per part, with the same entries.
+        P spans a random-sign sketch K Omega^T of K's column space, with
+        Omega k x G and k = N G / (2 (N + G)); signs draw in 1 ms on
+        cli_fit where Gaussians took 8, at the same r.  K is factored when
+        at most h = N G / (4 (N + G)) of the sketch's singular values
+        exceed sqrt(eps) times the largest; a probe of h + 1 columns on
+        every _PROBE_STRIDE-th node keeps K dense first when all of its
+        values do.  r is the number of the sketch's singular values above
+        eps times the largest, and K is not factored unless r < k, M has at
         most _PRECOMPUTE_LIMIT entries and max|K^T - M P| <= N eps, checked
         block by block, so no N x G temporary is formed.
         """
         Kt = self._rows
-        N, G = self._args[1].shape[0], self._args[2].shape[0]
-        nodes = np.arange(G)
+        kernel, X, Z, W = self._args
+        N, G = X.shape[0], Z.shape[0]
 
         def read(part):
-            """K^T on the nodes ``part``: a view of the held K^T, else built."""
-            return Kt[part] if Kt is not None else self._build(nodes[part])
+            """K^T on the nodes ``part``: a view of the held K^T, else one kernels.cross call."""
+            return Kt[part] if Kt is not None else kernels.cross(kernel, Z[part], X, W[part, None])
 
         k = N * G // (2 * (N + G))
         h = N * G // (4 * (N + G))

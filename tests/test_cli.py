@@ -45,6 +45,21 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
     assert fails_with_one_error_line(argv, capsys)
 
 
+def test_csv_without_a_header_exits_2(tmp_path, capsys):
+    # np.savetxt writes no header; its first sample must not be taken for one
+    data, _ = gen_mixed_gauss(3, 0.453, 40, 0.03, seed=1)
+    bare = tmp_path / "bare.csv"
+    np.savetxt(bare, np.column_stack([data.X, data.y]), delimiter=",")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"dim": 1, "terms": [{"a": 1.0, "z": [1.0], "w": 0.5}]}))
+    fit_argv = ["fit", str(bare), *FIT_FLAGS, "--out", str(tmp_path / "m.json")]
+    for argv in (fit_argv, ["eval", str(model), str(bare)]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bare}: ") and "header" in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.csv", "model.json"]
+
+
 def test_missing_gamma_exits_2(train_csv, tmp_path, capsys):
     argv = ["fit", train_csv, *FIT_FLAGS[2:], "--out", str(tmp_path / "m.json")]
     assert fails_with_one_error_line(argv, capsys)

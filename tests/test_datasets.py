@@ -12,6 +12,13 @@ def test_sample_set_validation():
         SampleSet(np.array([[0.5], [2.0]]), np.array([0.0, 1.0]), np.array([[0.0, 1.0]]))
     with pytest.raises(DomainError):
         SampleSet(np.array([[0.5]]), np.array([np.nan]), np.array([[0.0, 1.0]]))
+    # the box is checked exactly: one ulp outside is refused, the bound itself is in
+    box = np.array([[0.0, 1.0]])
+    for outside in (np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0)):
+        with pytest.raises(DomainError, match="outside the domain box"):
+            SampleSet(np.array([[0.5], [outside]]), np.zeros(2), box)
+    on_bound = SampleSet(np.array([[0.0], [1.0]]), np.zeros(2), box)
+    assert np.array_equal(on_bound.X, [[0.0], [1.0]])
 
 
 def test_mixed_gauss_noiseless_matches_truth():
@@ -94,3 +101,14 @@ def test_csv_wrong_field_count(tmp_path):
     path.write_text("x1,y\n0.5\n")
     with pytest.raises(ConfigError, match="line 2"):
         load_csv(path)
+
+
+def test_csv_without_a_header_is_refused(tmp_path):
+    # np.savetxt writes no header; line 1 of numbers is a sample, never taken for one
+    path = tmp_path / "bare.csv"
+    np.savetxt(path, np.array([[0.5, 1.0], [1.5, -2.0], [2.5, 3.0]]), delimiter=",")
+    with pytest.raises(ConfigError, match=r"bare\.csv: line 1 holds numbers; expected a x1,\.\.\.,xp,y header"):
+        load_csv(path)
+    # a header of names still reads every data row
+    path.write_text("x1,y\n0.5,1.0\n1.5,-2.0\n")
+    assert load_csv(path).n == 2

@@ -80,6 +80,25 @@ def test_batch_matches_scalar_loop_exactly():
     assert np.array_equal(batch, loop)
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_column_widths_give_the_transpose_bit_for_bit(p):
+    # the nodes as points with one width per row read K^T node-major
+    spec = KernelSpec(w_lo=0.05, w_hi=3.0, box=np.array([[-4.0, 9.0]] * p))
+    rng = np.random.default_rng(p)
+    X = rng.uniform(-4.0, 9.0, (37, p))
+    Z = rng.uniform(-4.0, 9.0, (53, p))
+    W = rng.uniform(0.05, 3.0, 53)
+    Kt = kernels.cross(spec, Z, X, W[:, None])
+    assert Kt.shape == (53, 37)
+    assert np.array_equal(Kt, kernels.cross(spec, X, Z, W).T)
+
+
+def test_column_width_outside_domain_names_it():
+    W = np.array([0.5, 3.5, 1.0])
+    with pytest.raises(DomainError, match=r"width 3\.5 outside"):
+        kernels.cross(SPEC, np.zeros((3, 3)), np.zeros((2, 3)), W[:, None])
+
+
 def test_grad_zero_at_coincident_points():
     gz, gw = reference.grad(SPEC, [0.2, 0.2, 0.2], [0.2, 0.2, 0.2], 0.5)
     assert np.all(gz == 0.0)

@@ -355,6 +355,20 @@ def test_streamed_kernel_matrix_matches_the_held_one(monkeypatch):
         cli_fit_operator(1)
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_held_kernel_matrix_is_one_cross_call_transposed(p, monkeypatch):
+    # more nodes than one block of the old 512-node build
+    kernel = KernelSpec(w_lo=0.3, w_hi=1.8, box=np.array([[0.0, 5.0]] * p))
+    X = np.random.default_rng(p).uniform(0.0, 5.0, (20, p))
+    Z, W, wts = quadrature_nodes(kernel, ProblemVariant.full(), Quadrature(40 if p == 1 else 12, 16))
+    calls = []
+    cross = kernels.cross
+    monkeypatch.setattr(kernels, "cross", lambda *a, **kw: calls.append(a) or cross(*a, **kw))
+    op = solver_mod._NodeMatrix(kernel, X, Z, W, wts)
+    assert Z.shape[0] > 512 and op._basis is None and len(calls) == 1
+    assert np.array_equal(op._rows, cross(kernel, X, Z, W).T)
+
+
 def test_hinge_needs_plus_minus_one_labels():
     # phi = (1 - eps) lam y holds for labels +-1 only; 0/1 labels are refused
     data = gen_remark1(5, 14)
