@@ -7,6 +7,7 @@ numeric failure (diverged solver).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import warnings
@@ -68,13 +69,8 @@ def _load_config(path, args, data) -> tuple[SolverConfig, KernelSpec, Loss]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad kernel or loss section ({exc})") from None
 
-    if loss is not None:
-        if args.loss is not None and LOSS_NAMES[args.loss] != loss.kind:
-            loss = losses.default_loss(LOSS_NAMES[args.loss], data.y, args.epsilon)
-        elif args.epsilon is not None:
-            loss = Loss(kind=loss.kind, epsilon=args.epsilon, clamp_radius=loss.clamp_radius)
-    else:
-        kind = LOSS_NAMES[args.loss or "quad"]
+    kind = LOSS_NAMES[args.loss] if args.loss else loss.kind if loss else "quadratic_eps"
+    if loss is None or loss.kind != kind or args.epsilon is not None:
         loss = losses.default_loss(kind, data.y, args.epsilon)
     return config, kernel, loss
 
@@ -84,7 +80,11 @@ def cmd_fit(args) -> int:
     config, kernel, loss = _load_config(args.config, args, data)
     variant = _parse_variant(args.variant)
     out = args.out
-    state, field = solver.fit(data, kernel, loss, variant, config, trace_path=out + ".trace.csv")
+    state, field = solver.fit(data, kernel, loss, variant, config)
+    with open(out + ".trace.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "g", "rel_gap", "max_violation", "support_fraction"])
+        writer.writerows(state.trace)
     model = extraction.extract_model(field, data)
     model.save(out)
     field.save(out + ".field.json")
@@ -103,7 +103,7 @@ def cmd_fit(args) -> int:
         # every constraint met, yet g rose by more than tol over the last
         # traced stretch: what a fit whose constraints are too tight for
         # epsilon shows (g grows about as t^2 there)
-        (_, g_prev), (_, g_last) = state.g_trace[-2:]
+        (_, g_prev, *_), (_, g_last, *_) = state.trace[-2:]
         if state.max_c <= config.tol and g_last - g_prev > config.tol * max(1.0, abs(g_last)):
             failed.append(
                 "g still rising with the violation met; "
@@ -150,7 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
         "exits 2",
     )
     p_fit.add_argument("--variant", default="full", help="full | fixed-width=W | fixed-centers=FILE")
-    p_fit.add_argument("--out", required=True, help="output model JSON path")
+    p_fit.add_argument(
+        "--out",
+        required=True,
+        help="output model JSON path; the field and the trace go to OUT.field.json and OUT.trace.csv",
+    )
     p_fit.add_argument("--gamma", type=float, help="sparsity penalty per unit of support")
     p_fit.add_argument(
         "--iters", type=int, help="iteration cap; the fit stops earlier once certified to tol"

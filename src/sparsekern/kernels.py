@@ -73,15 +73,18 @@ def sqdist(X, Z) -> np.ndarray:
     """Squared distances D[i, g] = ||x_i - z_g||^2 between rows of 2-D X and Z.
 
     Sums exact per-axis differences, which stay accurate far from the
-    origin where the expanded ||x||^2 + ||z||^2 - 2 x.z cancels.
+    origin where the expanded ||x||^2 + ||z||^2 - 2 x.z cancels.  Axes
+    after the first are added in row blocks of at most 2^16 entries.
     """
     if X.shape[1] != Z.shape[1]:
         raise DomainError(f"points of dimension {X.shape[1]} and {Z.shape[1]} do not mix")
     d2 = X[:, 0, None] - Z[None, :, 0]
     np.square(d2, out=d2)
+    rows = max(1, 2**16 // max(Z.shape[0], 1))  # a p >= 2 model with no terms passes an empty Z
     for k in range(1, X.shape[1]):
-        diff = X[:, k, None] - Z[None, :, k]
-        d2 += np.square(diff, out=diff)
+        for i in range(0, X.shape[0], rows):
+            diff = X[i : i + rows, k, None] - Z[None, :, k]
+            d2[i : i + rows] += np.square(diff, out=diff)
     return d2
 
 

@@ -38,8 +38,6 @@ r-dimensional basis: O((N + G) r) per step in place of O(N G).
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -82,7 +80,7 @@ _PROBE_STRIDE = 8
 # extrapolated s + beta (s - s_prev), at most 3 R ||u|| in size, stay below
 # float32's largest value, 3.4e38
 _F32_SCALE_MAX = float(np.finfo(np.float32).max) / 16
-# g_trace and the trace file take every _TRACE_EVERY-th step and the last one
+# DualState.trace takes every _TRACE_EVERY-th step and the last one
 _TRACE_EVERY = 50
 # the cutoffs c of the ascent's start (module docstring).  On pii_full's
 # draws 0-29, 1e-2 alone gave a mean of 54 iterations (53 from lambda = 0,
@@ -112,11 +110,11 @@ class SolverConfig(Document):
 
 @dataclass
 class DualState:
-    """Final multipliers, iterations run (``t``), and the certificate of their field."""
+    """Final multipliers, iterations run (``t``), their field's certificate, and ``trace``."""
 
     lam: np.ndarray
     t: int = 0
-    g_trace: list = field(default_factory=list)
+    trace: list = field(default_factory=list)
     converged: bool = False
     g: float = -np.inf
     primal: float = np.inf
@@ -491,21 +489,23 @@ def _start(problem, op):
     return best
 
 
-def _accelerated_ascent(problem, op, config, record):
-    """FISTA with restart and step halving from ``_start``; returns (lambda, t, certificate)."""
+def _accelerated_ascent(problem, op, config):
+    """FISTA with restart and step halving from ``_start``; returns (lambda, t, certificate, trace)."""
     loss, y, gamma = problem.loss, problem.samples.y, problem.gamma
     step = 1.0 / max(op.lipschitz, 1e-300)
     x, s, g_x = _start(problem, op)
     x_prev, s_prev = x, s
     theta, beta, t = 1.0, 0.0, 0
+    trace = []
     while True:
         # the extrapolated point and its abar, by linearity
         lam = x + beta * (x - x_prev) if beta else x
         cert = _certify(problem, lam, op.extrapolate(s, s_prev, beta), op, t)
         done = (cert.rel_gap <= config.tol and cert.max_c <= config.tol) or t == config.iters
-        record(t, cert, done)
+        if t % _TRACE_EVERY == 0 or done:
+            trace.append((t, cert.g, cert.rel_gap, max(0.0, cert.max_c), cert.support))
         if done:
-            return lam, t, cert
+            return lam, t, cert, trace
         x_new = losses.prox(loss, lam - step * cert.yhat, y, step)
         s_new = op.surface(x_new)
         g_new = losses.phi(loss, x_new, y) + op.integral(s_new, gamma)
@@ -528,32 +528,21 @@ def fit(
     loss: Loss,
     variant: ProblemVariant,
     config: SolverConfig,
-    trace_path=None,
 ):
     """Maximise the dual from the start ``_start`` picks; returns (DualState, AlphaField).
 
-    The state holds the iterations run (``t``) and the certificate of the
-    field on the midpoint quadrature.  Runs are bit-identical under a fixed
-    BLAS thread count.
+    The state holds the iterations run (``t``), the certificate of the
+    field on the midpoint quadrature, and ``DualState.trace``: a row (t, g,
+    rel_gap, max(0, max_c), support fraction) for every _TRACE_EVERY-th
+    step and the last one.  It opens no file.  Runs are bit-identical under
+    a fixed BLAS thread count.
     """
     problem = Problem(samples, kernel, loss, variant, config.gamma)
     Z, W, wts = quadrature_nodes(kernel, variant, Quadrature(config.center_nodes, config.width_nodes))
-    g_trace = []
     # overflow and NaN surface as a DivergenceError, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        op = _NodeMatrix(kernel, samples.X, Z, W, wts)  # a refused K writes no trace
-        with open(trace_path, "w", newline="") if trace_path else contextlib.nullcontext() as fh:
-            writer = csv.writer(fh) if fh else None
-            if writer:
-                writer.writerow(["t", "g", "rel_gap", "max_violation", "support_fraction"])
-
-            def record(t, cert, final):
-                if t % _TRACE_EVERY == 0 or final:
-                    g_trace.append((t, cert.g))
-                    if writer:
-                        writer.writerow([t, cert.g, cert.rel_gap, max(0.0, cert.max_c), cert.support])
-
-            lam, t, cert = _accelerated_ascent(problem, op, config, record)
+        op = _NodeMatrix(kernel, samples.X, Z, W, wts)
+        lam, t, cert, trace = _accelerated_ascent(problem, op, config)
     converged = cert.rel_gap <= config.tol and cert.max_c <= config.tol
-    state = DualState(lam, t, g_trace, converged, *cert[:4])
+    state = DualState(lam, t, trace, converged, *cert[:4])
     return state, AlphaField(samples, lam, config.gamma, kernel, variant)

@@ -1,10 +1,12 @@
+import csv
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from sparsekern import AlphaField, SampleSet, cli, gen_mixed_gauss
+from sparsekern import AlphaField, SampleSet, cli, gen_mixed_gauss, solver
 from sparsekern.datasets import save_csv
 
 FIT_FLAGS = ["--gamma", "0.2", "--iters", "5"]
@@ -12,6 +14,7 @@ FIT_FLAGS = ["--gamma", "0.2", "--iters", "5"]
 IGNORED_FLAGS = ["--eta-lambda", "1e-3", "--eta-mu", "0.01", "--integrator", "quadrature"]
 KERNEL_SECTION = {"w_lo": 0.1, "w_hi": 1.0, "box": [[0.0, 3.0]]}
 LOSS_SECTION = {"kind": "quadratic_eps", "epsilon": 1e-3, "clamp_radius": 10.0}
+TRACE_HEADER = ["t", "g", "rel_gap", "max_violation", "support_fraction"]
 
 
 @pytest.fixture
@@ -219,6 +222,21 @@ def test_loss_section_may_leave_out_clamp_radius(train_csv, tmp_path, capsys):
     assert cli.main(argv) == 0
 
 
+def test_epsilon_flag_over_a_loss_section_fits_as_without_it(train_csv, tmp_path, capsys):
+    # --epsilon replaces the section's loss, clamp_radius and all, by the
+    # default loss at that epsilon
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"loss": dict(LOSS_SECTION, clamp_radius=3.0)}))
+    argv = ["fit", train_csv, "--gamma", "0.2", "--iters", "300", "--epsilon", "0.005"]
+    runs = []
+    for name, extra in (("with", ["--config", str(config)]), ("without", [])):
+        out = tmp_path / f"{name}.json"
+        assert cli.main([*argv, *extra, "--out", str(out)]) == 0
+        files = [out, tmp_path / f"{name}.json.field.json", tmp_path / f"{name}.json.trace.csv"]
+        runs.append((capsys.readouterr().out, [path.read_bytes() for path in files]))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -294,6 +312,25 @@ def test_fit_prints_a_convergence_summary_and_writes_the_trace(train_csv, tmp_pa
     assert max(float(lines["rel_gap"]), float(lines["max_constraint_violation"])) > 1e-3
 
 
+def test_trace_file_holds_the_fits_trace_rows(train_csv, tmp_path, monkeypatch, capsys):
+    # cmd_fit writes the header and then DualState.trace, as csv writes them
+    fits, fit = [], solver.fit
+
+    def recording_fit(*args):
+        fits.append(fit(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(solver, "fit", recording_fit)
+    out = str(tmp_path / "model.json")
+    assert cli.main(["fit", train_csv, "--gamma", "0.2", "--iters", "120", "--out", out]) == 0
+    capsys.readouterr()
+    [(state, _)] = fits
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([TRACE_HEADER, *state.trace])
+    with open(out + ".trace.csv", newline="") as fh:
+        assert fh.read() == expected.getvalue()
+
+
 def test_uncertified_fit_names_each_failed_test(train_csv, tmp_path, capsys):
     out = str(tmp_path / "model.json")
     assert cli.main(["fit", train_csv, *FIT_FLAGS, "--out", out]) == 0
@@ -355,6 +392,8 @@ def test_fit_on_overflowing_labels_exits_3(tmp_path, capsys):
     assert cli.main(argv) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("numeric failure: ")
+    for name in ("m.json", "m.json.field.json", "m.json.trace.csv"):
+        assert not (tmp_path / name).exists()
 
 
 @pytest.mark.parametrize(

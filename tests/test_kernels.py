@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from sparsekern import KernelSpec
 from sparsekern import kernels
+from sparsekern.dual_field import ProblemVariant, Quadrature, quadrature_nodes
 from sparsekern.errors import DomainError
 from sparsekern.models import DiscreteModel
 
@@ -91,6 +94,36 @@ def test_column_widths_give_the_transpose_bit_for_bit(p):
     Kt = kernels.cross(spec, Z, X, W[:, None])
     assert Kt.shape == (53, 37)
     assert np.array_equal(Kt, kernels.cross(spec, X, Z, W).T)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sqdist_in_row_blocks_equals_the_per_axis_sum_bit_for_bit(p):
+    # 700 rows against 200 points: blocks of 327 rows, the last one short
+    rng = np.random.default_rng(p)
+    X, Z = rng.uniform(-4.0, 9.0, (700, p)), rng.uniform(-4.0, 9.0, (200, p))
+    expected = (X[:, 0, None] - Z[None, :, 0]) ** 2
+    for k in range(1, p):
+        expected += (X[:, k, None] - Z[None, :, k]) ** 2
+    assert np.array_equal(kernels.sqdist(X, Z), expected)
+
+
+def test_sqdist_against_no_points_is_empty():
+    assert kernels.sqdist(np.ones((5, 2)), np.zeros((0, 2))).shape == (5, 0)
+
+
+def test_held_2d_kernel_matrix_is_the_only_full_size_array():
+    # K^T of 96^2 x 4 nodes against 200 samples, read node-major as the
+    # solver holds it: 56 MB, with no second array of its size beside it
+    spec = KernelSpec(w_lo=0.1, w_hi=1.0, box=np.array([[0.0, 1.0]] * 2))
+    Z, W, _ = quadrature_nodes(spec, ProblemVariant.full(), Quadrature(96, 4))
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (200, 2))
+    tracemalloc.start()
+    try:
+        Kt = kernels.cross(spec, Z, X, W[:, None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Kt.shape == (36864, 200) and peak <= 1.1 * Kt.nbytes
 
 
 def test_column_width_outside_domain_names_it():

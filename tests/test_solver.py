@@ -183,7 +183,7 @@ def test_fit_is_bit_deterministic_under_fixed_seed():
     s1, f1 = fit(data, KERNEL, loss, ProblemVariant.full(), config)
     s2, f2 = fit(data, KERNEL, loss, ProblemVariant.full(), config)
     assert np.array_equal(s1.lam, s2.lam)
-    assert s1.g_trace == s2.g_trace
+    assert s1.trace == s2.trace
     assert (s1.t, s1.rel_gap, s1.max_c) == (s2.t, s2.rel_gap, s2.max_c)
 
 
@@ -228,19 +228,19 @@ def test_running_max_of_trace_is_monotone():
     assert np.all(np.diff(values) >= 0)
     assert values[-1] > values[0]
     # steps 0 and 40 of the 40-step run: the first and the last step are traced
-    assert [t for t, _ in state.g_trace] == [0, 40]
-    assert state.g_trace[-1][1] == pytest.approx(values[-1], rel=1e-12)
+    assert [row[0] for row in state.trace] == [0, 40]
+    assert state.trace[-1][1] == pytest.approx(values[-1], rel=1e-12)
 
 
-def test_trace_file_columns(tmp_path):
+def test_trace_file_columns():
+    # the rows sparsekern fit writes to its trace file, under the header
+    # t,g,rel_gap,max_violation,support_fraction
     data = gen_remark1(6, 12)
     loss = Loss("quadratic_eps", 0.01, 10.0)
     config = SolverConfig(gamma=0.05, iters=120, tol=1e-12, center_nodes=64, width_nodes=8)
-    path = tmp_path / "trace.csv"
-    fit(data, KERNEL, loss, ProblemVariant.full(), config, trace_path=path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,g,rel_gap,max_violation,support_fraction"
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    state, _ = fit(data, KERNEL, loss, ProblemVariant.full(), config)
+    rows = state.trace
+    assert all(len(r) == 5 for r in rows)
     assert [r[0] for r in rows] == [0, 50, 100, 120]
     assert all(r[2] >= 0 and r[3] >= 0 and 0 <= r[4] <= 1 for r in rows)
 
@@ -704,7 +704,7 @@ def test_pii_full_rep0_starts_at_the_candidate_of_largest_g():
     path = op.spectral_path(train.y)
     assert len(path) == len(solver_mod._START_CUTOFFS) and op._eig is None
     g = [dense_certificate(lam, train, ex.MIXED_KERNEL, loss, variant, config)[0] for lam in path]
-    t, g0 = state.g_trace[0]
+    t, g0, *_ = state.trace[0]
     assert t == 0 and g0 > 0.0
     assert g0 == pytest.approx(max(g), rel=1e-12)
 
@@ -717,7 +717,7 @@ def test_pii_full_fits_from_the_start_certify(rep):
     loss = losses_mod.default_loss("quadratic_eps", train.y)
     config, variant = ex.PII_FULL_CONFIG, ProblemVariant.full()
     state, _ = fit(train, ex.MIXED_KERNEL, loss, variant, config)
-    assert state.converged and state.g_trace[0][1] > 0.0  # started off lambda = 0
+    assert state.converged and state.trace[0][1] > 0.0  # started off lambda = 0
     cert = dense_certificate(state.lam, train, ex.MIXED_KERNEL, loss, variant, config)
     g, primal, rel_gap, max_c = cert
     assert state.g == pytest.approx(g, rel=1e-9)
@@ -744,5 +744,5 @@ def test_hinge_start_stays_on_the_half_line():
     assert np.all(lam * labels.y >= 0.0) and g >= 0.0
     config = SolverConfig(gamma=0.05, iters=50, center_nodes=64, width_nodes=8)
     state, _ = fit(labels, KERNEL, loss, variant, config)
-    t, g0 = state.g_trace[0]
+    t, g0, *_ = state.trace[0]
     assert t == 0 and g0 == pytest.approx(g, rel=1e-12, abs=1e-12)
