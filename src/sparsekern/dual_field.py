@@ -90,13 +90,13 @@ def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     return lo + h * (np.arange(n) + 0.5), h
 
 
-def quadrature_nodes(kernel: KernelSpec, variant: ProblemVariant, quad: Quadrature):
-    """Midpoint nodes (Z, W, weights) for the variant's integration domain.
+def quadrature_grid(kernel: KernelSpec, variant: ProblemVariant, quad: Quadrature):
+    """The midpoint rule on the variant's domain as its factors (centers, widths, cell).
 
     Every variant's nodes are one product of centers x widths, widths
-    varying fastest.  The centers are the variant's list, or the box's
-    midpoint mesh; the widths are [w0], or the width interval's midpoints.
-    Every node's weight is the one cell volume.
+    varying fastest (``kernels.grid``).  The centers are the variant's
+    list, or the box's midpoint mesh; the widths are [w0], or the width
+    interval's midpoints.  Every node's weight is the one cell volume.
     """
     if variant.kind == "fixed_centers":
         centers, cell = variant.centers, 1.0
@@ -110,9 +110,14 @@ def quadrature_nodes(kernel: KernelSpec, variant: ProblemVariant, quad: Quadratu
     else:
         widths, hw = _midpoints(kernel.w_lo, kernel.w_hi, quad.width_nodes)
         cell *= hw
+    return centers, widths, cell
+
+
+def quadrature_nodes(kernel: KernelSpec, variant: ProblemVariant, quad: Quadrature):
+    """The nodes (Z, W, weights) of ``quadrature_grid``, one row per node."""
+    centers, widths, cell = quadrature_grid(kernel, variant, quad)
     Z = np.repeat(centers, widths.size, axis=0)
-    W = np.tile(widths, centers.shape[0])
-    return Z, W, np.full(Z.shape[0], cell)
+    return Z, np.tile(widths, len(centers)), np.full(len(Z), cell)
 
 
 # the benchmark tracer wraps it by name; delete with the next benchmark change
@@ -207,10 +212,10 @@ class AlphaField(Document):
         return vals, gz, gw, hess, np.abs(M).sum(axis=0)
 
     def predict_batch(self, X, quad: Quadrature) -> np.ndarray:
-        Z, W, wts = quadrature_nodes(self.kernel, self.variant, quad)
-        vals = self.coeff_at_nodes(Z, W)
-        K = kernels.cross(self.kernel, X, Z, W)
-        return K @ (wts * vals)
+        centers, widths, cell = quadrature_grid(self.kernel, self.variant, quad)
+        s = self.lam @ kernels.grid(self.kernel, self.samples.X, centers, widths)
+        vals = np.where(np.abs(s) > self.threshold, s, 0.0)
+        return kernels.grid(self.kernel, X, centers, widths) @ (cell * vals)
 
     def save(self, path) -> None:
         save_json(self.to_dict(), path)

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import kernels
 from .datasets import SampleSet
-from .dual_field import AlphaField, Quadrature, quadrature_nodes
+# the benchmark tracer wraps quadrature_nodes here too; delete it with the next benchmark change
+from .dual_field import AlphaField, Quadrature, quadrature_grid, quadrature_nodes  # noqa: F401
 from .errors import ConfigError
 from .kernels import KernelSpec
 from .models import DiscreteModel
@@ -151,24 +152,23 @@ def find_peaks(field: AlphaField, cfg: PeakConfig | None = None):
     cfg = cfg or PeakConfig()
     threshold = field.threshold
     quad = Quadrature(cfg.grid_centers, cfg.grid_widths)
-    Z, W, _ = quadrature_nodes(field.kernel, field.variant, quad)
-    vals = np.abs(field.smooth_at_nodes(Z, W))
+    centers, widths, _ = quadrature_grid(field.kernel, field.variant, quad)
+    vals = np.abs(field.lam @ kernels.grid(field.kernel, field.samples.X, centers, widths))
 
-    # quadrature_nodes lays the nodes out as centers x widths, widths fastest;
-    # maxima of fixed centers run along the width axis only
+    # nodes run centers x widths, widths fastest; fixed centers' maxima run along widths only
     fixed = field.variant.kind == "fixed_centers"
-    shape = (field.variant.centers.shape[0],) if fixed else (cfg.grid_centers,) * field.kernel.dim
-    shape += (W.size // math.prod(shape),)
+    shape = ((len(centers),) if fixed else (cfg.grid_centers,) * field.kernel.dim) + (widths.size,)
     axes = (len(shape) - 1,) if fixed else range(len(shape))
     cand = _grid_local_maxima(vals, shape, axes)
     cand = cand[vals[cand] > threshold]
     if cand.size == 0:
         return []
+    c, k = np.divmod(cand, widths.size)
 
     kernel = field.kernel
     span = float(np.min(kernel.box[:, 1] - kernel.box[:, 0]))
     step0 = 0.5 * max(span / cfg.grid_centers, (kernel.w_hi - kernel.w_lo) / cfg.grid_widths)
-    Zr, Wr, mag = _refine(field, Z[cand], W[cand], _REFINE_STEPS, np.full(cand.size, step0))
+    Zr, Wr, mag = _refine(field, centers[c], widths[k], _REFINE_STEPS, np.full(cand.size, step0))
 
     peaks = []
     for i in np.argsort(-mag):
@@ -267,7 +267,7 @@ def polish_model(
     if model.n_terms == 0 or steps == 0:
         return model
     Z, W, J = model.centers, model.widths, model.n_terms
-    X, y, box = samples.X, samples.y, kernel.box
+    X, y, z_lo, z_hi = samples.X, samples.y, kernel.box[:, 0], kernel.box[:, 1]
     ridge = _RIDGE * np.eye(J)
 
     def refit(Phi):
@@ -277,20 +277,21 @@ def polish_model(
 
     Phi, d2 = kernels.cross(kernel, X, Z, W, with_sqdist=True)
     amps, resid, sse = refit(Phi)
-    step = 0.1 * float(np.min(W))
+    step = 0.1 * float(W.min())
     for _ in range(steps):
         # dSSE/dz_j = -2 a_j sum_i r_i dk(x_i, z_j; w_j)/dz_j
-        M = (resid[:, None] * Phi) * amps[None, :]
+        M = resid[:, None] * Phi * amps
         gz = -2.0 * (M.T[:, :, None] * (X[None, :, :] - Z[:, None, :])).sum(axis=1)
         gz /= (W**2)[:, None]
         gw = -2.0 * (M * d2).sum(axis=0) / W**3 if refine_widths else np.zeros(J)
-        norm = np.sqrt(np.sum(gz**2) + np.sum(gw**2))
-        if norm == 0.0 or not np.isfinite(norm):
+        norm = math.sqrt((gz * gz).sum() + (gw * gw).sum())
+        if norm == 0.0 or not math.isfinite(norm):
             break
-        improved = False
-        while step > 1e-12 * float(np.min(W)):
-            Zp = np.clip(Z - step * gz / norm, box[:, 0], box[:, 1])
-            Wp = np.clip(W - step * gw / norm, kernel.w_lo, kernel.w_hi)
+        # min(max(.)) is np.clip's arithmetic; W changes only when a trial is taken: one floor per step
+        floor = 1e-12 * float(W.min())
+        while step > floor:
+            Zp = np.minimum(np.maximum(Z - step * gz / norm, z_lo), z_hi)
+            Wp = np.minimum(np.maximum(W - step * gw / norm, kernel.w_lo), kernel.w_hi)
             # Wp lies in the width domain: the Gaussian straight from the
             # distances, as kernels.cross evaluates it
             d2_p = kernels.sqdist(X, Zp)
@@ -299,10 +300,9 @@ def polish_model(
             if sse_p < sse:
                 Z, W, Phi, d2, amps, resid, sse = Zp, Wp, Phi_p, d2_p, amps_p, resid_p, sse_p
                 step *= 1.5
-                improved = True
                 break
             step *= 0.5
-        if not improved:
+        else:  # no trial lowered the SSE
             break
     return DiscreteModel(amps, Z, W)
 

@@ -105,3 +105,20 @@ def cross(spec: KernelSpec, X, Z, W, with_sqdist: bool = False):
     K = d2 / (-2.0 * W**2) if with_sqdist else np.divide(d2, -2.0 * W**2, out=d2)
     np.exp(K, out=K)
     return (K, d2) if with_sqdist else K
+
+
+def grid(spec: KernelSpec, X, Z, W) -> np.ndarray:
+    """``cross`` on the product nodes Z x W, widths fastest, bit for bit, from one sqdist(X, Z).
+
+    Each center's distances are divided by -2 W_k^2 along a broadcast width
+    axis, then exponentiated in place.  A vector W makes the nodes K's
+    columns; a column W makes them its rows: K^T = grid(spec, Z, X, W[:, None]).
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    W = np.asarray(W, dtype=float)
+    _check_width(spec, W)
+    d2 = sqdist(X, Z)
+    K = np.divide(d2[:, None, :] if W.ndim == 2 else d2[:, :, None], -2.0 * W**2)
+    np.exp(K, out=K)
+    return K.reshape(-1, Z.shape[0]) if W.ndim == 2 else K.reshape(X.shape[0], -1)

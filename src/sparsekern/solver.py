@@ -52,6 +52,7 @@ from .dual_field import (
     Quadrature,
     # the benchmark tracer wraps it here too; delete with the next benchmark change
     monte_carlo_nodes,  # noqa: F401
+    quadrature_grid,
     quadrature_nodes,
 )
 from .documents import Document
@@ -141,16 +142,17 @@ class Problem:
 class _NodeMatrix:
     """K[i, j] = k(x_i; z_j, w_j) on the midpoint nodes, stored node-major: one row per node.
 
-    The midpoint rule gives every node the same weight w, its cell's
-    volume, so K diag(w) = w K.  ``_rows`` is K^T (G x N), held whole,
-    read in one kernels.cross call, when K has at most _PRECOMPUTE_LIMIT
-    entries; else M of its factor (below), from one call per _CHECK_BLOCK
-    nodes, when M has at most that many; else the constructor raises a
-    ConfigError.  It factors any K of low numerical rank (``_factor``),
-    forms the Gram A = w K K^T and keeps it, with its largest eigenvalue
-    as ``lipschitz``.  It keeps A's eigenvectors only until
-    ``spectral_path`` has built the ascent's start from them; factored,
-    they are C's, lifted by P^T, so no N x N eigenproblem is solved.
+    The nodes come as the grid's factors (centers, widths, cell), each of
+    weight w, the cell's volume, so K diag(w) = w K.  ``_rows`` is K^T
+    (G x N), held whole from one kernels.grid call when K has at most
+    _PRECOMPUTE_LIMIT entries, else M of its factor (below) from ``_read``
+    of _CHECK_BLOCK nodes at a time when M has at most that many, else a
+    ConfigError; both are kernels.cross of the expanded nodes bit for bit.
+    It factors any K of low numerical rank (``_factor``), forms the Gram
+    A = w K K^T and keeps it, with its largest eigenvalue as
+    ``lipschitz``.  It keeps A's eigenvectors only until ``spectral_path``
+    has built the ascent's start from them; factored, they are C's, lifted
+    by P^T, so no N x N eigenproblem is solved.
 
     Factored, K^T = M P, with P (r x N) of orthonormal rows and M = K^T P^T
     (G x r), whose rows take the place of K's, and K is released.  A step
@@ -214,13 +216,13 @@ class _NodeMatrix:
     node on the same side.
     """
 
-    def __init__(self, kernel, X, Z, W, wts):
-        self._args = (kernel, X, Z, W)
-        self._w = float(wts[0])  # every midpoint node's weight
-        N, G = X.shape[0], Z.shape[0]
+    def __init__(self, kernel, X, centers, widths, cell):
+        self._args = (kernel, X, centers, widths)
+        self._w = float(cell)  # every midpoint node's weight
+        N, G = X.shape[0], centers.shape[0] * widths.size
         self._small = N * G < _GATHER_MIN_ENTRIES  # no gather pays below
         held = N * G <= _PRECOMPUTE_LIMIT
-        self._rows = kernels.cross(kernel, Z, X, W[:, None]) if held else None
+        self._rows = kernels.grid(kernel, centers, X, widths[:, None]) if held else None
         self._basis = None  # P, once factored
         if not self._factor() and not held:
             raise ConfigError(
@@ -255,7 +257,7 @@ class _NodeMatrix:
         """Factor K^T = M P and keep M as ``_rows``; returns whether it did.
 
         K^T is read _CHECK_BLOCK nodes at a time, as views of the held K^T
-        or else in one kernels.cross call per part, with the same entries.
+        or else by ``_read``, with the same entries.
         P spans a random-sign sketch K Omega^T of K's column space, with
         Omega k x G and k = N G / (2 (N + G)); signs draw in 1 ms on
         cli_fit where Gaussians took 8, at the same r.  K is factored when
@@ -267,13 +269,9 @@ class _NodeMatrix:
         most _PRECOMPUTE_LIMIT entries and max|K^T - M P| <= N eps, checked
         block by block, so no N x G temporary is formed.
         """
-        Kt = self._rows
-        kernel, X, Z, W = self._args
-        N, G = X.shape[0], Z.shape[0]
-
-        def read(part):
-            """K^T on the nodes ``part``: a view of the held K^T, else one kernels.cross call."""
-            return Kt[part] if Kt is not None else kernels.cross(kernel, Z[part], X, W[part, None])
+        _, X, centers, widths = self._args
+        N, G = X.shape[0], centers.shape[0] * widths.size
+        read = self._read if self._rows is None else self._rows.__getitem__  # K^T on a slice of nodes
 
         k = N * G // (2 * (N + G))
         h = N * G // (4 * (N + G))
@@ -333,11 +331,22 @@ class _NodeMatrix:
         self._f32_floor = n * (1.0 + self._row_norm) * 2.0**-146
         return True
 
+    def _read(self, part):
+        """K^T on a slice of the nodes, one kernels.cross call on their centers and widths."""
+        kernel, X, centers, widths = self._args
+        c, k = np.divmod(np.arange(*part.indices(centers.shape[0] * widths.size)), widths.size)
+        return kernels.cross(kernel, centers[c], X, widths[k, None])
+
     def surface(self, lam):
         """abar = K^T lam at the nodes, as a _Surface (see the class docstring)."""
         if self._basis is not None:
             return self._surface(self._basis @ lam)
         return _Surface(lam, self._rows @ lam, 0.0)
+
+    def zero_surface(self):
+        """The surface of lambda = 0 without a pass: zeros, float32 once factored (scale R ||u|| = 0)."""
+        G, n = self._rows.shape
+        return _Surface(np.zeros(n), np.zeros(G, np.float64 if self._basis is None else np.float32), 0.0)
 
     def _surface(self, u):
         """The float32 pass for u = P lam, or the exact one outside float32's range."""
@@ -478,8 +487,7 @@ def primal_objective(field_: AlphaField, quad: Quadrature) -> float:
 def _start(problem, op):
     """(lambda, its surface, g) at lambda = 0 or on the spectral path: the largest g."""
     loss, y, gamma = problem.loss, problem.samples.y, problem.gamma
-    lam = np.zeros(problem.samples.n)
-    best = (lam, op.surface(lam), 0.0)  # g(0) = 0
+    best = (np.zeros(problem.samples.n), op.zero_surface(), 0.0)  # g(0) = 0
     for lam in op.spectral_path(y):
         surf = op.surface(lam)
         # -inf off hinge's half-line, so such a solve is never the start
@@ -538,10 +546,10 @@ def fit(
     a fixed BLAS thread count.
     """
     problem = Problem(samples, kernel, loss, variant, config.gamma)
-    Z, W, wts = quadrature_nodes(kernel, variant, Quadrature(config.center_nodes, config.width_nodes))
+    grid = quadrature_grid(kernel, variant, Quadrature(config.center_nodes, config.width_nodes))
     # overflow and NaN surface as a DivergenceError, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        op = _NodeMatrix(kernel, samples.X, Z, W, wts)
+        op = _NodeMatrix(kernel, samples.X, *grid)
         lam, t, cert, trace = _accelerated_ascent(problem, op, config)
     converged = cert.rel_gap <= config.tol and cert.max_c <= config.tol
     state = DualState(lam, t, trace, converged, *cert[:4])

@@ -13,12 +13,15 @@ from sparsekern import (
     extract_model,
     find_peaks,
     fit,
+    gen_mixed_gauss,
     gen_remark1,
     refit_amplitudes,
 )
 from sparsekern import extraction, kernels
 from sparsekern.errors import ConfigError
 from sparsekern.extraction import polish_model, subdivided_peaks
+
+import reference
 
 KERNEL = KernelSpec(w_lo=0.3, w_hi=1.8, box=np.array([[0.0, 5.0]]))
 
@@ -148,6 +151,40 @@ def test_polish_reduces_training_sse():
     assert sse_polished < 1e-4
     got = np.sort(polished.centers[:, 0])
     assert np.allclose(got, [1.5, 3.6], atol=0.02)
+
+
+def _polish_cases():
+    """(name, seed model, samples, kernel, steps, refine_widths) of the oracle test."""
+    from sparsekern import experiments as ex
+
+    # pii_full's seed-0 desk rep 0, as the study polishes it
+    train, _ = ex._mixed_gauss_draw(0, 100, 500)
+    peaks = PeakConfig(grid_centers=96, grid_widths=32, merge_radius=0.1)
+    _, seed = ex._fit_extract(train, ex.MIXED_KERNEL, ProblemVariant.full(), ex.PII_FULL_CONFIG, peaks)
+    yield "pii_full", seed, train, ex.MIXED_KERNEL, ex.PII_FULL_POLISH_STEPS, True
+    # komp_sparsity's rep 0: centers only
+    train, _ = gen_mixed_gauss(5, 0.5, 20, ex.MIXED_NOISE_SD, 0)
+    variant = ProblemVariant.fixed_width(0.5)
+    _, seed = ex._fit_extract(train, ex.KOMP_KERNEL, variant, ex.KOMP_SPARSITY_CONFIG, subdivided_peaks)
+    yield "komp_sparsity", seed, train, ex.KOMP_KERNEL, ex.KOMP_POLISH_STEPS, False
+    # a 2-D model, three terms off their true places
+    kernel = KernelSpec(w_lo=0.2, w_hi=1.5, box=np.array([[0.0, 3.0], [0.0, 3.0]]))
+    X = np.random.default_rng(4).uniform(0.0, 3.0, (60, 2))
+    truth = DiscreteModel(np.array([1.0, -0.7, 0.5]), np.array([[0.8, 1.0], [2.2, 2.0], [1.5, 0.4]]),
+                          np.array([0.5, 0.7, 0.4]))
+    data = SampleSet(X, truth.predict_batch(X), kernel.box)
+    seeds = [(np.array([1.0, 1.2]), 0.6), (np.array([2.0, 2.3]), 0.6), (np.array([1.3, 0.6]), 0.5)]
+    yield "p = 2", refit_amplitudes(seeds, data, kernel), data, kernel, 80, True
+
+
+def test_polish_equals_the_reference_bit_for_bit():
+    for name, seed, samples, kernel, steps, refine_widths in _polish_cases():
+        got = polish_model(seed, samples, kernel, steps, refine_widths)
+        want = reference.polish_model(seed, samples, kernel, steps, refine_widths)
+        # the polish moved the seed, so the steps were compared, not skipped
+        assert not np.array_equal(got.centers, seed.centers), name
+        for part in ("amplitudes", "centers", "widths"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
 
 
 def test_subdivided_peaks_single_blob_reduces_to_peak():

@@ -132,6 +132,27 @@ def test_column_width_outside_domain_names_it():
         kernels.cross(SPEC, np.zeros((3, 3)), np.zeros((2, 3)), W[:, None])
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_grid_is_cross_of_the_expanded_nodes_bit_for_bit(p):
+    # K with the nodes as columns, and K^T with them as rows, of 53 centers x 7 widths
+    spec = KernelSpec(w_lo=0.05, w_hi=3.0, box=np.array([[-4.0, 9.0]] * p))
+    rng = np.random.default_rng(p)
+    X = rng.uniform(-4.0, 9.0, (37, p))
+    centers = rng.uniform(-4.0, 9.0, (53, p))
+    widths = rng.uniform(0.05, 3.0, 7)
+    Z, W = np.repeat(centers, 7, axis=0), np.tile(widths, 53)
+    K = kernels.cross(spec, X, Z, W)
+    assert np.array_equal(kernels.grid(spec, X, centers, widths), K)
+    assert np.array_equal(kernels.grid(spec, centers, X, widths[:, None]), K.T)
+
+
+def test_grid_width_outside_domain_names_it():
+    widths = np.array([0.5, 3.5, 1.0])
+    for W in (widths, widths[:, None]):
+        with pytest.raises(DomainError, match=r"width 3\.5 outside"):
+            kernels.grid(SPEC, np.zeros((3, 3)), np.zeros((2, 3)), W)
+
+
 def test_grad_zero_at_coincident_points():
     gz, gw = reference.grad(SPEC, [0.2, 0.2, 0.2], [0.2, 0.2, 0.2], 0.5)
     assert np.all(gz == 0.0)

@@ -23,7 +23,7 @@ from sparsekern import (
 )
 from sparsekern import kernels
 from sparsekern import losses as losses_mod
-from sparsekern.dual_field import monte_carlo_nodes, quadrature_nodes
+from sparsekern.dual_field import monte_carlo_nodes, quadrature_grid, quadrature_nodes
 from sparsekern import solver as solver_mod
 from sparsekern.errors import ConfigError, DivergenceError, DomainError
 from sparsekern.models import DiscreteModel
@@ -303,12 +303,13 @@ def assert_certificate_terms_match_the_dense_pass(op, K, wts, lam, share):
 def test_streamed_kernel_matrix_matches_the_held_one(monkeypatch):
     data = gen_remark1(7, 13)
     Z, W, wts = quadrature_nodes(KERNEL, ProblemVariant.full(), Quadrature(40, 8))
+    grid = quadrature_grid(KERNEL, ProblemVariant.full(), Quadrature(40, 8))
     K = kernels.cross(KERNEL, data.X, Z, W)
     # 7 x 320 entries: below _GATHER_MIN_ENTRIES, one block of every node
-    small = solver_mod._NodeMatrix(KERNEL, data.X, Z, W, wts)
+    small = solver_mod._NodeMatrix(KERNEL, data.X, *grid)
     # gather even at this size
     monkeypatch.setattr(solver_mod, "_GATHER_MIN_ENTRIES", 0)
-    held = solver_mod._NodeMatrix(KERNEL, data.X, Z, W, wts)
+    held = solver_mod._NodeMatrix(KERNEL, data.X, *grid)
     assert held._rows is not None and held._basis is None
     assert small._small and not held._small and small._basis is None
     lam = np.linspace(-1.0, 1.0, 7)
@@ -331,7 +332,7 @@ def test_streamed_kernel_matrix_matches_the_held_one(monkeypatch):
     # this one's h = 1 leaves no rank to factor at
     monkeypatch.setattr(solver_mod, "_PRECOMPUTE_LIMIT", 7 * 45)
     with pytest.raises(ConfigError, match="center_nodes"):
-        solver_mod._NodeMatrix(KERNEL, data.X, Z, W, wts)
+        solver_mod._NodeMatrix(KERNEL, data.X, *grid)
     # cli_fit's low-rank K, held at N G entries and read in blocks past them,
     # factors to the same bits
     monkeypatch.setattr(solver_mod, "_PRECOMPUTE_LIMIT", 300 * 96 * 32)
@@ -355,18 +356,54 @@ def test_streamed_kernel_matrix_matches_the_held_one(monkeypatch):
         cli_fit_operator(1)
 
 
-@pytest.mark.parametrize("p", [1, 2])
-def test_held_kernel_matrix_is_one_cross_call_transposed(p, monkeypatch):
-    # more nodes than one block of the old 512-node build
+def grid_variants(p):
+    """(kernel, samples X, variant) for each variant kind on a p-D box."""
     kernel = KernelSpec(w_lo=0.3, w_hi=1.8, box=np.array([[0.0, 5.0]] * p))
     X = np.random.default_rng(p).uniform(0.0, 5.0, (20, p))
-    Z, W, wts = quadrature_nodes(kernel, ProblemVariant.full(), Quadrature(40 if p == 1 else 12, 16))
-    calls = []
-    cross = kernels.cross
-    monkeypatch.setattr(kernels, "cross", lambda *a, **kw: calls.append(a) or cross(*a, **kw))
-    op = solver_mod._NodeMatrix(kernel, X, Z, W, wts)
-    assert Z.shape[0] > 512 and op._basis is None and len(calls) == 1
-    assert np.array_equal(op._rows, cross(kernel, X, Z, W).T)
+    centers = np.random.default_rng(p + 10).uniform(0.0, 5.0, (30, p))
+    variants = ProblemVariant.full(), ProblemVariant.fixed_width(0.7), ProblemVariant.fixed_centers(centers)
+    for variant in variants:
+        yield kernel, X, variant
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_held_kernel_matrix_is_one_grid_build(p, monkeypatch):
+    # K^T from the grid's factors, each center's distances once for all its
+    # widths, is the kernels.cross of the expanded nodes transposed, bit for bit
+    for kernel, X, variant in grid_variants(p):
+        quad = Quadrature(40 if p == 1 else 12, 16)
+        Z, W, _ = quadrature_nodes(kernel, variant, quad)
+        builds, reads = [], []
+        grid, cross = kernels.grid, kernels.cross
+        monkeypatch.setattr(kernels, "grid", lambda *a, **kw: builds.append(a) or grid(*a, **kw))
+        monkeypatch.setattr(kernels, "cross", lambda *a, **kw: reads.append(a) or cross(*a, **kw))
+        op = solver_mod._NodeMatrix(kernel, X, *quadrature_grid(kernel, variant, quad))
+        monkeypatch.undo()
+        assert op._basis is None and len(builds) == 1 and not reads, variant.kind
+        # the full grid has more nodes than one block of the old 512-node build
+        assert variant.kind != "full" or Z.shape[0] > 512
+        assert np.array_equal(op._rows, kernels.cross(kernel, X, Z, W).T), variant.kind
+    # a width outside the domain is named, as kernels.cross names it
+    with pytest.raises(DomainError, match=r"width 2\.5 outside"):
+        solver_mod._NodeMatrix(kernel, X, X[:3], np.array([0.5, 2.5]), 1.0)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_block_and_probe_reads_equal_the_held_rows(p):
+    # the reads of a K too large to hold: every _CHECK_BLOCK part and every
+    # part of the stride-8 probe, from the factors, equal the held rows
+    for kernel, X, variant in grid_variants(p):
+        # 40 widths: blocks start and end inside a center
+        quad = Quadrature(1100 if p == 1 else 36, 40)
+        op = solver_mod._NodeMatrix(kernel, X, *quadrature_grid(kernel, variant, quad))
+        G = op._rows.shape[0]
+        stride = solver_mod._PROBE_STRIDE
+        B = solver_mod._CHECK_BLOCK
+        parts = [slice(j, j + B) for j in range(0, G, B)]
+        parts += [slice(j, j + stride * B, stride) for j in range(0, G, stride * B)]
+        assert G > stride * B
+        for part in parts:
+            assert np.array_equal(op._read(part), op._rows[part]), (variant.kind, part)
 
 
 def test_hinge_needs_plus_minus_one_labels():
@@ -386,7 +423,8 @@ def cli_fit_operator(seed):
     data, _ = gen_mixed_gauss(10, 0.453, 300, np.sqrt(1e-3), seed)
     kernel = KernelSpec(w_lo=0.1, w_hi=1.0, box=data.box)
     Z, W, wts = quadrature_nodes(kernel, ProblemVariant.full(), Quadrature(96, 32))
-    op = solver_mod._NodeMatrix(kernel, data.X, Z, W, wts)
+    grid = quadrature_grid(kernel, ProblemVariant.full(), Quadrature(96, 32))
+    op = solver_mod._NodeMatrix(kernel, data.X, *grid)
     K = kernels.cross(kernel, data.X, Z, W)
     return op, K, wts, op.lipschitz
 
@@ -456,7 +494,7 @@ def test_factoring_rule_keeps_the_desk_studies_dense_and_factors_cli_fit():
     for name, train, kernel, variant, config in _desk_problems():
         quad = Quadrature(config.center_nodes, config.width_nodes)
         Z, W, wts = quadrature_nodes(kernel, variant, quad)
-        op = solver_mod._NodeMatrix(kernel, train.X, Z, W, wts)
+        op = solver_mod._NodeMatrix(kernel, train.X, *quadrature_grid(kernel, variant, quad))
         assert op._basis is None and op._rows.shape == (Z.shape[0], train.n), name
     assert cli_fit_operator(1)[0]._basis is not None
 
@@ -626,8 +664,17 @@ def pii_full_operator():
     config = ex.PII_FULL_CONFIG
     quad = Quadrature(config.center_nodes, config.width_nodes)
     Z, W, wts = quadrature_nodes(ex.MIXED_KERNEL, ProblemVariant.full(), quad)
-    op = solver_mod._NodeMatrix(ex.MIXED_KERNEL, train.X, Z, W, wts)
+    grid = quadrature_grid(ex.MIXED_KERNEL, ProblemVariant.full(), quad)
+    op = solver_mod._NodeMatrix(ex.MIXED_KERNEL, train.X, *grid)
     return op, kernels.cross(ex.MIXED_KERNEL, train.X, Z, W), wts
+
+
+def test_zero_surface_is_the_surface_of_zero_multipliers():
+    # _start's lambda = 0 candidate takes it without a pass
+    for op in (pii_full_operator()[0], cli_fit_operator(1)[0]):
+        got, want = op.zero_surface(), op.surface(np.zeros(op._args[1].shape[0]))
+        assert got.s.dtype == want.s.dtype and got.scale == want.scale
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.s, want.s)
 
 
 def test_kept_block_gives_the_float64_terms_along_a_sequence_of_surfaces():
@@ -735,12 +782,12 @@ def test_hinge_start_stays_on_the_half_line():
     loss = Loss("hinge_eps", 0.05, 10.0)
     variant, quad = ProblemVariant.full(), Quadrature(64, 8)
     prob = Problem(labels, KERNEL, loss, variant, 0.05)
-    Z, W, wts = quadrature_nodes(KERNEL, variant, quad)
-    off = [lam for lam in solver_mod._NodeMatrix(KERNEL, X, Z, W, wts).spectral_path(labels.y)
+    grid = quadrature_grid(KERNEL, variant, quad)
+    off = [lam for lam in solver_mod._NodeMatrix(KERNEL, X, *grid).spectral_path(labels.y)
            if np.any(lam * labels.y < 0.0)]
     assert off
     assert all(dual_objective(DualState(lam=lam), prob, quad) == -np.inf for lam in off)
-    lam, _, g = solver_mod._start(prob, solver_mod._NodeMatrix(KERNEL, X, Z, W, wts))
+    lam, _, g = solver_mod._start(prob, solver_mod._NodeMatrix(KERNEL, X, *grid))
     assert np.all(lam * labels.y >= 0.0) and g >= 0.0
     config = SolverConfig(gamma=0.05, iters=50, center_nodes=64, width_nodes=8)
     state, _ = fit(labels, KERNEL, loss, variant, config)
