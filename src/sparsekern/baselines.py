@@ -38,10 +38,11 @@ class KompConfig:
     def __post_init__(self):
         if self.stop not in ("error_target", "kernel_count"):
             raise ConfigError(f"unknown stop criterion {self.stop!r}")
-        if self.stop == "error_target" and self.value < 0:
-            raise ConfigError("error target must be nonnegative")
-        if self.stop == "kernel_count" and int(self.value) < 1:
-            raise ConfigError("kernel count must be >= 1")
+        # refuses NaN too; an infinite target stands: the empty model meets it
+        if self.stop == "error_target" and not self.value >= 0:
+            raise ConfigError(f"error target must be a number >= 0, got {self.value!r}")
+        if self.stop == "kernel_count" and not (1 <= self.value < np.inf and self.value == int(self.value)):
+            raise ConfigError(f"kernel count must be an integer >= 1, got {self.value!r}")
 
 
 def ridge_fit(samples: SampleSet, kernel: KernelSpec, w0: float, reg: float) -> DiscreteModel:

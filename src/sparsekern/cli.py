@@ -159,8 +159,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument(
         "--iters", type=int, help="iteration cap; the fit stops earlier once certified to tol"
     )
-    p_fit.add_argument("--loss", choices=sorted(LOSS_NAMES))
-    p_fit.add_argument("--epsilon", type=float)
+    p_fit.add_argument(
+        "--loss",
+        choices=sorted(LOSS_NAMES),
+        help="the constraint c(yhat, y) <= 0 on every sample: quad (yhat - y)^2 - eps, abs |yhat - y| "
+        "- eps, hinge max(0, 1 - y yhat) - eps on labels -1/+1; default: the config's loss, else quad.  "
+        "A kind other than the config's replaces its loss section",
+    )
+    eps = ", ".join(f"{name} {losses.DEFAULT_EPSILON[kind]:g}" for name, kind in LOSS_NAMES.items())
+    p_fit.add_argument(
+        "--epsilon",
+        type=float,
+        help=f"the per-sample slack eps; default: {eps}.  Given, it replaces the config's loss section "
+        "by the chosen kind's default loss with this eps",
+    )
     # the benchmark passes these three; delete them with the next benchmark change
     p_fit.add_argument("--eta-lambda", type=float, help="ignored: the step is 1/L")
     p_fit.add_argument("--eta-mu", type=float, help="ignored: mu is maximised out in closed form")

@@ -230,9 +230,7 @@ def _pii_full_summary(rows) -> dict:
 # ---------------------------------------------------------------------------
 
 KOMP_KERNEL = KernelSpec(w_lo=0.1, w_hi=1.0, box=np.array([[0.0, 3.0]]))
-KOMP_SPARSITY_CONFIG = SolverConfig(
-    gamma=5.0, iters=40_000, center_nodes=256, width_nodes=8, tol=1e-2
-)
+KOMP_SPARSITY_CONFIG = SolverConfig(gamma=5.0, iters=40_000, center_nodes=256, width_nodes=8, tol=1e-2)
 KOMP_SPARSITY_CONFIG_PAPER = SolverConfig(gamma=30.0, iters=1000, center_nodes=256, width_nodes=8)
 KOMP_POLISH_STEPS = 150
 
@@ -249,9 +247,8 @@ def _komp_sparsity_rep(args):
         train, KOMP_KERNEL, variant, config, extraction.subdivided_peaks, KOMP_POLISH_STEPS
     )
     ours_mse = _mse(model, train)
-    komp = baselines.komp_fit(
-        train, KOMP_KERNEL, w0, baselines.KompConfig(stop="error_target", value=ours_mse)
-    )
+    komp_cfg = baselines.KompConfig(stop="error_target", value=ours_mse)
+    komp = baselines.komp_fit(train, KOMP_KERNEL, w0, komp_cfg)
     return {
         "rep": rep,
         "ours_kernels": model.n_terms,
@@ -289,17 +286,11 @@ def _sample_stability_rep(args):
 
     peaks = extraction.PeakConfig(grid_centers=192, grid_widths=24)
     # widths stay as discovered; polishing them would overfit dense runs
-    state, model = _fit_extract(
-        train, SIN_KERNEL, ProblemVariant.full(), config, peaks, SIN_POLISH_STEPS
-    )
+    state, model = _fit_extract(train, SIN_KERNEL, ProblemVariant.full(), config, peaks, SIN_POLISH_STEPS)
     count = max(model.n_terms, 1)
     # magnitude-scored elimination: the fully refit variant improves with n
-    komp = baselines.komp_fit(
-        train,
-        SIN_KERNEL,
-        SIN_KOMP_WIDTH,
-        baselines.KompConfig(stop="kernel_count", value=count, refit=False),
-    )
+    komp_cfg = baselines.KompConfig(stop="kernel_count", value=count, refit=False)
+    komp = baselines.komp_fit(train, SIN_KERNEL, SIN_KOMP_WIDTH, komp_cfg)
     return {
         "n": n,
         "kernels": model.n_terms,
@@ -312,11 +303,7 @@ def _sample_stability_rep(args):
 
 
 def _sample_stability_summary(rows) -> dict:
-    summary = {}
-    for r in rows:
-        for k, v in r.items():
-            if k != "n":
-                summary[f"{k}_n{r['n']}"] = v
+    summary = {f"{k}_n{r['n']}": v for r in rows for k, v in r.items() if k != "n"}
     counts = [r["kernels"] for r in rows]
     mses = [r["mse"] for r in rows]
     summary["count_spread"] = (max(counts) - min(counts)) / max(min(counts), 1)

@@ -65,11 +65,11 @@ def _grid_local_maxima(vals: np.ndarray, shape, axes) -> np.ndarray:
     return np.flatnonzero(keep.ravel())
 
 
-def _refine(field: AlphaField, Z, W, steps: int, step0: np.ndarray):
+def _refine(field: AlphaField, Z, W, moving: np.ndarray, steps: int, step0: np.ndarray):
     """Batched modified-Newton ascent on |abar| with per-candidate backtracking.
 
     Each step moves by V |L|^-1 V^T g, Newton's step on -|H| for the
-    gradient g and Hessian H = V L V^T of |abar| in the moving coordinates
+    gradient g and Hessian H = V L V^T of |abar| in the ``moving`` coordinates
     (those at a bound that the gradient pushes outward held fixed), no
     longer than the candidate's step length.  Where H < 0 that is Newton's
     own step; elsewhere it still climbs, scaled by the curvature (Nocedal &
@@ -81,9 +81,6 @@ def _refine(field: AlphaField, Z, W, steps: int, step0: np.ndarray):
     """
     kernel = field.kernel
     p = kernel.dim
-    moving = np.zeros(p + 1, dtype=bool)
-    moving[:p] = field.variant.kind in ("full", "fixed_width")
-    moving[p] = field.variant.kind in ("full", "fixed_centers")
     lo = np.append(kernel.box[:, 0], kernel.w_lo)
     hi = np.append(kernel.box[:, 1], kernel.w_hi)
     eye = np.eye(np.count_nonzero(moving))
@@ -150,25 +147,28 @@ def find_peaks(field: AlphaField, cfg: PeakConfig | None = None):
     the ascent moves centers only; for fixed centers, widths only.
     """
     cfg = cfg or PeakConfig()
-    threshold = field.threshold
+    threshold, kernel, kind = field.threshold, field.kernel, field.variant.kind
+    p = kernel.dim
+    # the coordinates of (z, w) that a peak moves along: those the variant does not fix
+    moving = np.array([kind != "fixed_centers"] * p + [kind != "fixed_width"])
     quad = Quadrature(cfg.grid_centers, cfg.grid_widths)
-    centers, widths, _ = quadrature_grid(field.kernel, field.variant, quad)
-    vals = np.abs(field.lam @ kernels.grid(field.kernel, field.samples.X, centers, widths))
+    centers, widths, _ = quadrature_grid(kernel, field.variant, quad)
+    vals = np.abs(field.lam @ kernels.grid(kernel, field.samples.X, centers, widths))
 
-    # nodes run centers x widths, widths fastest; fixed centers' maxima run along widths only
-    fixed = field.variant.kind == "fixed_centers"
-    shape = ((len(centers),) if fixed else (cfg.grid_centers,) * field.kernel.dim) + (widths.size,)
-    axes = (len(shape) - 1,) if fixed else range(len(shape))
-    cand = _grid_local_maxima(vals, shape, axes)
+    # nodes run centers x widths, widths fastest: a mesh axis per center
+    # coordinate, or one axis of fixed centers; maxima run along moving axes
+    shape = ((cfg.grid_centers,) * p if moving[0] else (len(centers),)) + (widths.size,)
+    cand = _grid_local_maxima(vals, shape, np.flatnonzero(moving[-len(shape):]))
     cand = cand[vals[cand] > threshold]
     if cand.size == 0:
         return []
     c, k = np.divmod(cand, widths.size)
 
-    kernel = field.kernel
+    # the first step is half the largest scan spacing along a moving axis
     span = float(np.min(kernel.box[:, 1] - kernel.box[:, 0]))
-    step0 = 0.5 * max(span / cfg.grid_centers, (kernel.w_hi - kernel.w_lo) / cfg.grid_widths)
-    Zr, Wr, mag = _refine(field, centers[c], widths[k], _REFINE_STEPS, np.full(cand.size, step0))
+    spacing = np.append(np.full(p, span / cfg.grid_centers), (kernel.w_hi - kernel.w_lo) / cfg.grid_widths)
+    step0 = np.full(cand.size, 0.5 * spacing[moving].max())
+    Zr, Wr, mag = _refine(field, centers[c], widths[k], moving, _REFINE_STEPS, step0)
 
     peaks = []
     for i in np.argsort(-mag):

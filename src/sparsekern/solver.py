@@ -498,7 +498,7 @@ def _start(problem, op):
 
 
 def _accelerated_ascent(problem, op, config):
-    """FISTA with restart and step halving from ``_start``; returns (lambda, t, certificate, trace)."""
+    """FISTA with restart and step halving from ``_start``; returns the final DualState."""
     loss, y, gamma = problem.loss, problem.samples.y, problem.gamma
     step = 1.0 / max(op.lipschitz, 1e-300)
     x, s, g_x = _start(problem, op)
@@ -509,11 +509,12 @@ def _accelerated_ascent(problem, op, config):
         # the extrapolated point and its abar, by linearity
         lam = x + beta * (x - x_prev) if beta else x
         cert = _certify(problem, lam, op.extrapolate(s, s_prev, beta), op, t)
-        done = (cert.rel_gap <= config.tol and cert.max_c <= config.tol) or t == config.iters
+        converged = cert.rel_gap <= config.tol and cert.max_c <= config.tol
+        done = converged or t == config.iters
         if t % _TRACE_EVERY == 0 or done:
             trace.append((t, cert.g, cert.rel_gap, max(0.0, cert.max_c), cert.support))
         if done:
-            return lam, t, cert, trace
+            return DualState(lam, t, trace, converged, cert.g, cert.primal, cert.rel_gap, cert.max_c)
         x_new = losses.prox(loss, lam - step * cert.yhat, y, step)
         s_new = op.surface(x_new)
         g_new = losses.phi(loss, x_new, y) + op.integral(s_new, gamma)
@@ -549,8 +550,5 @@ def fit(
     grid = quadrature_grid(kernel, variant, Quadrature(config.center_nodes, config.width_nodes))
     # overflow and NaN surface as a DivergenceError, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        op = _NodeMatrix(kernel, samples.X, *grid)
-        lam, t, cert, trace = _accelerated_ascent(problem, op, config)
-    converged = cert.rel_gap <= config.tol and cert.max_c <= config.tol
-    state = DualState(lam, t, trace, converged, *cert[:4])
-    return state, AlphaField(samples, lam, config.gamma, kernel, variant)
+        state = _accelerated_ascent(problem, _NodeMatrix(kernel, samples.X, *grid), config)
+    return state, AlphaField(samples, state.lam, config.gamma, kernel, variant)

@@ -157,3 +157,22 @@ def test_komp_config_validation():
         KompConfig(stop="error_target", value=-1.0)
     with pytest.raises(ConfigError):
         KompConfig(stop="kernel_count", value=0)
+
+
+@pytest.mark.parametrize(
+    "stop, value",
+    [
+        ("kernel_count", 2.5),  # ran as 2 kernels
+        ("kernel_count", np.inf),  # int() raised OverflowError
+        ("kernel_count", np.nan),
+        ("error_target", np.nan),  # eliminated every kernel
+    ],
+)
+def test_komp_config_refuses_a_value_it_would_misuse_naming_it(stop, value):
+    with pytest.raises(ConfigError, match=repr(value)):
+        KompConfig(stop=stop, value=value)
+
+
+def test_komp_integral_float_kernel_count_keeps_that_many():
+    data = gen_remark1(8, 4)
+    assert komp_fit(data, KERNEL, 1.0, KompConfig(stop="kernel_count", value=3.0)).n_terms == 3

@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from sparsekern import AlphaField, SampleSet, cli, gen_mixed_gauss, solver
+from sparsekern import AlphaField, SampleSet, cli, gen_mixed_gauss, losses, solver
 from sparsekern.datasets import save_csv
 
 FIT_FLAGS = ["--gamma", "0.2", "--iters", "5"]
@@ -429,3 +430,14 @@ def test_non_default_loss_or_variant_fits_and_evaluates(flags, tmp_path, capsys)
     assert cli.main(["eval", str(out), str(path)]) == 0
     mse = float(capsys.readouterr().out.strip())
     assert np.isfinite(mse) and mse >= 0.0
+
+
+def test_fit_help_states_the_default_epsilon_of_each_loss(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["fit", "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps its help lines
+    assert "c(yhat, y) <= 0" in text
+    (listed,) = re.findall(r"default: ((?:\w+ [0-9.e+-]*[0-9](?:, )?)+)", text)
+    defaults = {name: float(eps) for name, eps in (item.split() for item in listed.split(", "))}
+    assert defaults == {name: losses.DEFAULT_EPSILON[kind] for name, kind in cli.LOSS_NAMES.items()}

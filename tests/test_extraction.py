@@ -82,6 +82,46 @@ def test_refined_remark1_peak_is_stationary_to_rounding_level():
     assert abs(gz[0, 0]) <= data.n * np.finfo(float).eps * scale
 
 
+
+@pytest.mark.parametrize(
+    "study, moving, step0",
+    [
+        # half of 3 / 96, the center spacing, which exceeds the width's 0.9 / 32
+        ("pii_full", [True, True], 0.015625),
+        # half of 5 / 128, the center spacing: the width never moves
+        ("remark1", [True, False], 0.01953125),
+        # half of 0.9 / 32, the width spacing: the centers never move, and
+        # grid_centers = 2 is no spacing of this scan
+        ("grid_vs_pii2", [False, True], 0.0140625),
+    ],
+)
+def test_first_refine_step_is_half_the_largest_spacing_along_a_moving_axis(study, moving, step0, monkeypatch):
+    # each study's kernel, variant and peak scan, on a field of random multipliers
+    from sparsekern import experiments as ex
+
+    if study == "remark1":
+        data = gen_remark1(20, 2)
+        kernel, variant, cfg = ex.REMARK1_KERNEL, ProblemVariant.fixed_width(1.0), PeakConfig(128, 4)
+    else:
+        data, _ = gen_mixed_gauss(10, 0.453, 40, 0.03, seed=2)
+        full = study == "pii_full"
+        variant = ProblemVariant.full() if full else ProblemVariant.fixed_centers(data.X)
+        kernel, cfg = ex.MIXED_KERNEL, PeakConfig(96 if full else 2, 32, 0.1)
+    lam = np.random.default_rng(2).normal(0.0, 1.0, data.n)
+    field = AlphaField(data, lam, 1e-4, kernel, variant)
+    calls = []
+    refine = extraction._refine
+
+    def recording(field, Z, W, moving, steps, step0):
+        calls.append((moving, step0))
+        return refine(field, Z, W, moving, steps, step0)
+
+    monkeypatch.setattr(extraction, "_refine", recording)
+    assert find_peaks(field, cfg)
+    (mask, steps0), = calls
+    assert mask.tolist() == moving
+    assert steps0.size > 0 and np.all(steps0 == step0)
+
 def test_refit_recovers_unit_amplitude():
     rng = np.random.default_rng(4)
     X = rng.uniform(0, 5, (30, 1))
