@@ -66,9 +66,9 @@ def _holds_bool(val) -> bool:
 
 def save_json(doc: dict, path) -> None:
     """Write a ``to_dict`` document as one line of key-sorted JSON."""
+    # json.dumps takes the C encoder, which json.dump never does
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_json(path) -> dict:

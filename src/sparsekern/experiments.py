@@ -154,9 +154,7 @@ def _grid_vs_pii2_rep(args):
     config = PII2_CONFIG if scale == "desk" else PII2_CONFIG_PAPER
     train, test = _mixed_gauss_draw(rep_seed, n_train, n_test)
 
-    peaks = extraction.PeakConfig(
-        grid_centers=2, grid_widths=config.width_nodes, merge_radius=PII2_MERGE_RADIUS
-    )
+    peaks = extraction.PeakConfig(grid_widths=config.width_nodes, merge_radius=PII2_MERGE_RADIUS)
     variant = ProblemVariant.fixed_centers(train.X)
     state, model = _fit_extract(train, MIXED_KERNEL, variant, config, peaks)
     row = {
@@ -191,6 +189,7 @@ PII_FULL_CONFIG = SolverConfig(
     tol=1e-2,
 )
 PII_FULL_CONFIG_PAPER = SolverConfig(gamma=1000.0, iters=1000)
+# a cap on polish_model's steps: the seed-0 desk reps stop stationary after 8-18
 PII_FULL_POLISH_STEPS = 120
 
 
@@ -232,6 +231,8 @@ def _pii_full_summary(rows) -> dict:
 KOMP_KERNEL = KernelSpec(w_lo=0.1, w_hi=1.0, box=np.array([[0.0, 3.0]]))
 KOMP_SPARSITY_CONFIG = SolverConfig(gamma=5.0, iters=40_000, center_nodes=256, width_nodes=8, tol=1e-2)
 KOMP_SPARSITY_CONFIG_PAPER = SolverConfig(gamma=30.0, iters=1000, center_nodes=256, width_nodes=8)
+# a cap: the seed-0 desk reps stop after 1-28 steps, 46 of 50 stationary and
+# 4 with no trial descending
 KOMP_POLISH_STEPS = 150
 
 
@@ -274,6 +275,9 @@ SIN_KERNEL = KernelSpec(w_lo=0.15, w_hi=2.0, box=np.array([[-5.0, 5.0]]))
 SIN_CONFIG = SolverConfig(gamma=0.5, iters=40_000, center_nodes=384, width_nodes=24, tol=1e-2)
 SIN_CONFIG_PAPER = SolverConfig(gamma=2.0, iters=1000, center_nodes=384, width_nodes=24)
 SIN_NOISE_SD = float(np.sqrt(1e-3))
+# a cap: n=51, whose 30 terms have more parameters than samples and so take
+# gradient steps, and n=101 reach it on the seed-0 desk; n=201 stops
+# stationary after 17 steps
 SIN_POLISH_STEPS = 30
 SIN_KOMP_WIDTH = 0.5
 
@@ -285,7 +289,8 @@ def _sample_stability_rep(args):
     test = datasets.gen_sin_squared(1000, SIN_NOISE_SD, seed + 10_000, grid=False)
 
     peaks = extraction.PeakConfig(grid_centers=192, grid_widths=24)
-    # widths stay as discovered; polishing them would overfit dense runs
+    # widths stay as discovered: polishing them as well raised the seed-0 desk
+    # test MSE at n=51 (5.8e-3 -> 9.5e-3) and n=101 (1.76e-3 -> 1.82e-3)
     state, model = _fit_extract(train, SIN_KERNEL, ProblemVariant.full(), config, peaks, SIN_POLISH_STEPS)
     count = max(model.n_terms, 1)
     # magnitude-scored elimination: the fully refit variant improves with n

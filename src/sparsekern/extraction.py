@@ -5,7 +5,12 @@ pairs: a coarse grid scan proposes candidates, an ascent by Newton's step
 on -|H| (H the Hessian of |abar|) with backtracking refines them, and
 nearby candidates are merged.  Amplitudes are then refit by (ridge) least
 squares on the training samples, since the field's magnitude is not the
-series coefficient.
+series coefficient.  ``polish_model`` then refines the terms jointly:
+trust-region Gauss-Newton steps on the training SSE over the centers (and
+widths), the amplitudes projected out, where there are at least as many
+samples as parameters, and normalised-gradient steps where there are not.
+It stops at first-order stationarity, when no trial step lowers the SSE,
+or at its step cap.
 """
 
 from __future__ import annotations
@@ -33,6 +38,11 @@ _RIDGE = 1e-10
 # subdivided_peaks' seed spacing, in units of w0, and its scan's node count
 _SUBDIVIDE_SPACING = 0.6
 _SUBDIVIDE_SCAN = 1024
+# polish_model stops once no free coordinate's projected Jacobian column has
+# a cosine above this with the residual.  On the seed-0 desk pii_full seeds
+# it ends 0.24% above the SSE of polishing to the cap with no such stop, in
+# 28% of the time; komp_sparsity's median training MSE is the same
+_STATIONARY = 1e-2
 
 
 @dataclass(frozen=True)
@@ -42,8 +52,6 @@ class PeakConfig:
     merge_radius: float | None = None  # None: 0.5 * width of the stronger peak
 
     def __post_init__(self):
-        if self.grid_centers < 2 or self.grid_widths < 2:
-            raise ConfigError("peak grids need at least 2 nodes per axis")
         if self.merge_radius is not None and not self.merge_radius > 0:
             raise ConfigError("merge_radius must be positive")
 
@@ -151,6 +159,10 @@ def find_peaks(field: AlphaField, cfg: PeakConfig | None = None):
     p = kernel.dim
     # the coordinates of (z, w) that a peak moves along: those the variant does not fix
     moving = np.array([kind != "fixed_centers"] * p + [kind != "fixed_width"])
+    # a scanned axis needs two nodes to have a local maximum along it
+    for name, scanned in (("grid_centers", moving[0]), ("grid_widths", moving[-1])):
+        if scanned and getattr(cfg, name) < 2:
+            raise ConfigError(f"PeakConfig.{name} must be at least 2 on a scanned axis, got {getattr(cfg, name)}")
     quad = Quadrature(cfg.grid_centers, cfg.grid_widths)
     centers, widths, _ = quadrature_grid(kernel, field.variant, quad)
     vals = np.abs(field.lam @ kernels.grid(kernel, field.samples.X, centers, widths))
@@ -250,6 +262,29 @@ def refit_amplitudes(peaks, samples: SampleSet, kernel: KernelSpec) -> DiscreteM
     return DiscreteModel(amps, Z, W)
 
 
+def _trust_step(L, V, g, radius):
+    """The step d minimising g.d + d.H d / 2 over |d| <= radius, and its length.
+
+    H = V diag(L) V^T is positive semidefinite.  The step is -(H + lam I)^-1 g
+    with lam = 0 if that lies inside the region, else the lam > 0 that puts
+    it on the boundary (to 1%), found by Newton's method on 1/radius - 1/|d(lam)|
+    from a lam on its left, where that function is convex and decreasing,
+    so the iterates climb to the root (More & Sorensen 1983; Nocedal &
+    Wright, Numerical Optimization, algorithm 4.3).  Eigenvalues below
+    eps max(L) count as eps max(L).
+    """
+    c = V.T @ g
+    L = np.maximum(L, _EPS * L[-1])
+    # |d(lam)| >= |c| / (max(L) + lam): no larger lam is left of the root
+    lam = max(0.0, math.sqrt(c @ c) / radius - L[-1])
+    while True:
+        d = c / (L + lam)
+        length = math.sqrt(d @ d)
+        if length <= 1.01 * radius:
+            return -(V @ d), length
+        lam += (length / radius - 1.0) * (d @ d) / (d @ (d / (L + lam)))
+
+
 def polish_model(
     model: DiscreteModel,
     samples: SampleSet,
@@ -257,17 +292,37 @@ def polish_model(
     steps: int = 100,
     refine_widths: bool = False,
 ) -> DiscreteModel:
-    """Local descent on training SSE over the term parameters.
+    """Trust-region descent on training SSE over the term parameters.
 
-    Alternates closed-form amplitude refits with backtracking gradient
-    steps on the centers (and widths when requested), keeping them inside
-    the kernel domain.  The SSE never increases, so the polished model is
-    at least as good on the training data as its seed.
+    The moving coordinates are the centers, and the widths when requested;
+    the amplitudes are always the closed-form ridge refit, projected out
+    (variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 1973).  Each
+    step takes ``_trust_step`` on the Gauss-Newton model of the SSE: its
+    gradient g = -2 J^T r, where column (j, k) of J is a_j d phi_j / d
+    theta_jk and r the residual, and its curvature 2 Jp^T Jp, with Jp the
+    part of J orthogonal to the kernel columns (Kaufman, BIT 1975); a
+    coordinate at a bound that -g pushes outward is held.  With fewer
+    samples than the J (m + 1) parameters of J terms of m moving
+    coordinates, Jp has rank below J m and the curvature is taken as zero:
+    the step is then -radius g / |g| over every moving coordinate.
+
+    The trust radius starts at 0.1 min(w), grows by 1.5 on an accepted trial
+    and halves (below the rejected step) on a rejected one, down to 1e-12
+    min(w).  A trial is clipped into the kernel domain and accepted only if
+    its SSE is lower, so the polished model is at least as good on the
+    training data as its seed.  The polish stops at first-order
+    stationarity, |g_k| / 2 at most ``_STATIONARY`` |Jp_k| |r| for every
+    coordinate not held; or when no trial descends; or after ``steps``
+    steps, a cap.
     """
     if model.n_terms == 0 or steps == 0:
         return model
     Z, W, J = model.centers, model.widths, model.n_terms
-    X, y, z_lo, z_hi = samples.X, samples.y, kernel.box[:, 0], kernel.box[:, 1]
+    X, y, p = samples.X, samples.y, kernel.dim
+    lo = np.append(kernel.box[:, 0], kernel.w_lo)
+    hi = np.append(kernel.box[:, 1], kernel.w_hi)
+    moving = np.array([True] * p + [refine_widths])
+    curved = samples.n >= J * (p + refine_widths + 1)
     ridge = _RIDGE * np.eye(J)
 
     def refit(Phi):
@@ -277,31 +332,56 @@ def polish_model(
 
     Phi, d2 = kernels.cross(kernel, X, Z, W, with_sqdist=True)
     amps, resid, sse = refit(Phi)
+    theta = np.column_stack([Z, W])  # each term's coordinates (z, w)
     step = 0.1 * float(W.min())
     for _ in range(steps):
+        diff = X[None, :, :] - Z[:, None, :]
         # dSSE/dz_j = -2 a_j sum_i r_i dk(x_i, z_j; w_j)/dz_j
         M = resid[:, None] * Phi * amps
-        gz = -2.0 * (M.T[:, :, None] * (X[None, :, :] - Z[:, None, :])).sum(axis=1)
+        gz = -2.0 * (M.T[:, :, None] * diff).sum(axis=1)
         gz /= (W**2)[:, None]
         gw = -2.0 * (M * d2).sum(axis=0) / W**3 if refine_widths else np.zeros(J)
         norm = math.sqrt((gz * gz).sum() + (gw * gw).sum())
         if norm == 0.0 or not math.isfinite(norm):
             break
-        # min(max(.)) is np.clip's arithmetic; W changes only when a trial is taken: one floor per step
+        g = np.column_stack([gz, gw])
+        # J's column (j, k), a_j d phi_j / d theta_jk, less its part in the
+        # span of the kernel columns, which the amplitudes absorb
+        A = Phi * amps
+        dz = A[:, :, None] * diff.transpose(1, 0, 2) / (W**2)[:, None]
+        jac = np.concatenate([dz, (A * d2 / W**3)[:, :, None]], axis=2).reshape(len(y), -1)
+        jac -= Phi @ np.linalg.solve(Phi.T @ Phi + ridge, Phi.T @ jac)
+        # a coordinate at its bound that -g pushes outward is held
+        free = (moving & np.where(g > 0.0, theta > lo, theta < hi)).ravel()
+        gf, gram = g.ravel()[free], jac[:, free].T @ jac[:, free]
+        # each free coordinate's cosine |Jp_k^T r| / (|Jp_k| |r|): g_k = -2 Jp_k^T r,
+        # and |Jp_k|^2 is on the gram's diagonal
+        if np.all(np.abs(gf) <= 2.0 * _STATIONARY * math.sqrt(sse) * np.sqrt(np.diag(gram))):
+            break
+        if curved:
+            L, V = np.linalg.eigh(2.0 * gram)
+        # W changes only when a trial is taken: one floor per step
         floor = 1e-12 * float(W.min())
         while step > floor:
-            Zp = np.minimum(np.maximum(Z - step * gz / norm, z_lo), z_hi)
-            Wp = np.minimum(np.maximum(W - step * gw / norm, kernel.w_lo), kernel.w_hi)
+            if curved:
+                move = np.zeros(theta.size)
+                move[free], length = _trust_step(L, V, gf, step)
+                move = move.reshape(theta.shape)
+            else:
+                move, length = -(step * g / norm), step
+            # min(max(.)) is np.clip's arithmetic
+            prop = np.minimum(np.maximum(theta + move, lo), hi)
+            Zp, Wp = prop[:, :p], prop[:, p]
             # Wp lies in the width domain: the Gaussian straight from the
             # distances, as kernels.cross evaluates it
             d2_p = kernels.sqdist(X, Zp)
             Phi_p = np.exp(d2_p / (-2.0 * Wp**2))
             amps_p, resid_p, sse_p = refit(Phi_p)
             if sse_p < sse:
-                Z, W, Phi, d2, amps, resid, sse = Zp, Wp, Phi_p, d2_p, amps_p, resid_p, sse_p
+                theta, Z, W, Phi, d2, amps, resid, sse = prop, Zp, Wp, Phi_p, d2_p, amps_p, resid_p, sse_p
                 step *= 1.5
                 break
-            step *= 0.5
+            step = 0.5 * min(step, length)
         else:  # no trial lowered the SSE
             break
     return DiscreteModel(amps, Z, W)

@@ -4,8 +4,11 @@
 pair of points; ``BumpField`` is a piecewise-constant coefficient field
 built from a discrete model.  The package itself evaluates kernels only in
 batches (``kernels.cross``, ``AlphaField.smooth_derivatives``).
-``polish_model`` is the package's polish step as first written, one numpy
-call per operation, which the package's must match bit for bit.
+``polish_model`` is the package's polish as first written: backtracking
+steps of length ``step`` along the normalised gradient, one numpy call per
+operation.  Where the fit has fewer samples than parameters the package's
+polish takes the same steps and must match it bit for bit; elsewhere it
+takes trust-region Gauss-Newton steps and must end at an SSE no higher.
 """
 
 from __future__ import annotations

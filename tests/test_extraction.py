@@ -91,7 +91,7 @@ def test_refined_remark1_peak_is_stationary_to_rounding_level():
         # half of 5 / 128, the center spacing: the width never moves
         ("remark1", [True, False], 0.01953125),
         # half of 0.9 / 32, the width spacing: the centers never move, and
-        # grid_centers = 2 is no spacing of this scan
+        # the default grid_centers is no spacing of this scan
         ("grid_vs_pii2", [False, True], 0.0140625),
     ],
 )
@@ -106,7 +106,7 @@ def test_first_refine_step_is_half_the_largest_spacing_along_a_moving_axis(study
         data, _ = gen_mixed_gauss(10, 0.453, 40, 0.03, seed=2)
         full = study == "pii_full"
         variant = ProblemVariant.full() if full else ProblemVariant.fixed_centers(data.X)
-        kernel, cfg = ex.MIXED_KERNEL, PeakConfig(96 if full else 2, 32, 0.1)
+        kernel, cfg = ex.MIXED_KERNEL, PeakConfig(96, 32, 0.1) if full else PeakConfig(grid_widths=32, merge_radius=0.1)
     lam = np.random.default_rng(2).normal(0.0, 1.0, data.n)
     field = AlphaField(data, lam, 1e-4, kernel, variant)
     calls = []
@@ -217,14 +217,74 @@ def _polish_cases():
     yield "p = 2", refit_amplitudes(seeds, data, kernel), data, kernel, 80, True
 
 
+def _sse(model, samples):
+    r = samples.y - model.predict_batch(samples.X)
+    return float(r @ r)
+
+
+def _same(a, b):
+    return all(np.array_equal(getattr(a, part), getattr(b, part)) for part in ("amplitudes", "centers", "widths"))
+
+
 def test_polish_equals_the_reference_bit_for_bit():
+    # 8 centers-only terms on 12 samples: fewer samples than the 16
+    # parameters, so the curvature is zero and the step is the reference's
+    kernel = KernelSpec(w_lo=0.3, w_hi=1.8, box=np.array([[0.0, 5.0]]))
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.0, 5.0, (12, 1))
+    data = SampleSet(X, np.sin(2.0 * X[:, 0]) + 0.1 * rng.normal(size=12), kernel.box)
+    seed = refit_amplitudes([(np.array([c]), 0.5) for c in np.linspace(0.4, 4.6, 8)], data, kernel)
+    got = polish_model(seed, data, kernel, 40)
+    want = reference.polish_model(seed, data, kernel, 40)
+    # the reference takes all 40 steps, so every step was compared
+    assert not _same(want, reference.polish_model(seed, data, kernel, 39))
+    assert _same(got, want)
+
+
+def test_overdetermined_polish_ends_below_the_reference_before_its_cap():
     for name, seed, samples, kernel, steps, refine_widths in _polish_cases():
         got = polish_model(seed, samples, kernel, steps, refine_widths)
         want = reference.polish_model(seed, samples, kernel, steps, refine_widths)
-        # the polish moved the seed, so the steps were compared, not skipped
-        assert not np.array_equal(got.centers, seed.centers), name
-        for part in ("amplitudes", "centers", "widths"):
-            assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
+        assert _sse(got, samples) <= _sse(want, samples), name
+        box = kernel.box
+        assert np.all((got.centers >= box[:, 0]) & (got.centers <= box[:, 1])), name
+        assert np.all((got.widths >= kernel.w_lo) & (got.widths <= kernel.w_hi)), name
+        # a polish that used every step differs from one a step shorter
+        assert _same(got, polish_model(seed, samples, kernel, steps - 1, refine_widths)), name
+
+
+def _stationarity(model, samples, kernel):
+    """Max over the free coordinates (z, w) of |Jp_k^T r| / (|Jp_k| |r|).
+
+    Jp_k is a_j d phi_j / d theta_jk from ``reference.grad``, less its least
+    squares fit by the kernel columns; a coordinate at a bound whose
+    gradient -2 J_k^T r points outward is not free.
+    """
+    Phi = kernels.cross(kernel, samples.X, model.centers, model.widths)
+    r = samples.y - Phi @ model.amplitudes
+    lo = np.append(kernel.box[:, 0], kernel.w_lo)
+    hi = np.append(kernel.box[:, 1], kernel.w_hi)
+    cosines = []
+    for a, z, w in zip(model.amplitudes, model.centers, model.widths):
+        parts = [reference.grad(kernel, x, z, w) for x in samples.X]
+        jac = a * np.column_stack([np.array([dz for dz, _ in parts]), [dw for _, dw in parts]])
+        jac -= Phi @ np.linalg.lstsq(Phi, jac, rcond=None)[0]
+        g = -2.0 * (jac.T @ r)
+        theta = np.append(z, w)
+        free = np.where(g > 0.0, theta > lo, theta < hi)
+        cosines.extend((np.abs(jac.T @ r) / (np.linalg.norm(jac, axis=0) * np.linalg.norm(r)))[free])
+    return max(cosines)
+
+
+def test_pii_full_polish_descends_and_stops_stationary_before_its_cap():
+    _, seed, samples, kernel, cap, _ = next(_polish_cases())
+    sses = [_sse(polish_model(seed, samples, kernel, k, True), samples) for k in range(9)]
+    assert all(b <= a for a, b in zip(sses, sses[1:]))
+    final = polish_model(seed, samples, kernel, cap, True)
+    taken = next(k for k in range(cap + 1) if _same(polish_model(seed, samples, kernel, k, True), final))
+    assert taken < cap
+    assert _stationarity(final, samples, kernel) <= extraction._STATIONARY
+    assert _stationarity(polish_model(seed, samples, kernel, taken - 1, True), samples, kernel) > extraction._STATIONARY
 
 
 def test_subdivided_peaks_single_blob_reduces_to_peak():
@@ -268,11 +328,25 @@ def test_subdivided_peaks_requires_fixed_width():
 
 def test_peak_config_validation():
     with pytest.raises(ConfigError):
-        PeakConfig(grid_centers=1)
-    with pytest.raises(ConfigError):
         PeakConfig(merge_radius=0.0)
     with pytest.raises(ConfigError):
         refit_amplitudes([], gen_remark1(3, 0), KERNEL)
+
+
+def test_grid_sizes_are_checked_on_the_scanned_axes_only():
+    data, _ = gen_mixed_gauss(10, 0.453, 40, 0.03, seed=2)
+    lam = np.random.default_rng(2).normal(0.0, 1.0, data.n)
+    from sparsekern import experiments as ex
+
+    # a fixed-centers scan never reads grid_centers
+    field = AlphaField(data, lam, 1e-4, ex.MIXED_KERNEL, ProblemVariant.fixed_centers(data.X))
+    cfg = PeakConfig(grid_centers=1, grid_widths=32, merge_radius=0.1)
+    peaks = find_peaks(field, cfg)
+    twice = find_peaks(field, PeakConfig(grid_centers=2, grid_widths=32, merge_radius=0.1))
+    assert peaks and np.array_equal(np.array([np.append(z, w) for z, w in peaks]), [np.append(z, w) for z, w in twice])
+    full = AlphaField(data, lam, 1e-4, ex.MIXED_KERNEL, ProblemVariant.full())
+    with pytest.raises(ConfigError, match="grid_centers"):
+        find_peaks(full, cfg)
 
 
 def test_empty_model_keeps_its_dimension_through_save_and_load(tmp_path):
