@@ -109,7 +109,7 @@ def gen_remark1(n: int, seed: int) -> SampleSet:
         draw = rng.uniform(0.0, 5.0, size=n)
         xs.extend(draw[np.abs(draw - 2.5) >= 0.05].tolist())
     x = np.asarray(xs[:n])
-    y = np.exp(-((x - 2.5) ** 2) / 2.0)
+    y = DiscreteModel(np.ones(1), np.full((1, 1), 2.5), np.ones(1)).predict_batch(x[:, None])
     return SampleSet(x.reshape(-1, 1), y, np.array([[0.0, 5.0]]))
 
 

@@ -191,11 +191,12 @@ class AlphaField(Document):
             d2/dz dw   = sum_i m_i d_i r_i / w^5 - 2 (d/dz) / w
             d2/dw^2    = sum_i m_i r_i^2 / w^6 - 3 (d/dw) / w
         """
-        X = self.samples.X
-        K, d2 = kernels.cross(self.kernel, X, Z, W, with_sqdist=True)
-        M = self.lam[:, None] * K
+        X, W = self.samples.X, np.asarray(W, dtype=float)
+        kernels._check_width(self.kernel, W)
+        d2 = kernels.sqdist(X, Z)
+        M = self.lam[:, None] * kernels.gaussian(d2, W)
         vals = M.sum(axis=0)
-        W = np.broadcast_to(np.asarray(W, dtype=float), vals.shape)
+        W = np.broadcast_to(W, vals.shape)
         # x_i - z per axis, exact differences as in sqdist
         D = [X[:, k, None] - Z[None, :, k] for k in range(X.shape[1])]
         gz = np.stack([np.sum(M * d, axis=0) for d in D], axis=1) / (W**2)[:, None]

@@ -87,10 +87,8 @@ def _refine(field: AlphaField, Z, W, moving: np.ndarray, steps: int, step0: np.n
     A candidate retires once its move falls below rounding level, or after
     a full Newton step below sqrt(eps), and ``steps`` caps the steps.
     """
-    kernel = field.kernel
-    p = kernel.dim
-    lo = np.append(kernel.box[:, 0], kernel.w_lo)
-    hi = np.append(kernel.box[:, 1], kernel.w_hi)
+    p = field.kernel.dim
+    lo, hi = field.kernel.bounds
     eye = np.eye(np.count_nonzero(moving))
     P = np.column_stack([Z, W])  # the coordinates (z, w) of each candidate
     step = step0.copy()
@@ -177,8 +175,8 @@ def find_peaks(field: AlphaField, cfg: PeakConfig | None = None):
     c, k = np.divmod(cand, widths.size)
 
     # the first step is half the largest scan spacing along a moving axis
-    span = float(np.min(kernel.box[:, 1] - kernel.box[:, 0]))
-    spacing = np.append(np.full(p, span / cfg.grid_centers), (kernel.w_hi - kernel.w_lo) / cfg.grid_widths)
+    lo, hi = kernel.bounds
+    spacing = (hi - lo) / np.append(np.full(p, cfg.grid_centers), cfg.grid_widths)
     step0 = np.full(cand.size, 0.5 * spacing[moving].max())
     Zr, Wr, mag = _refine(field, centers[c], widths[k], moving, _REFINE_STEPS, step0)
 
@@ -310,17 +308,16 @@ def polish_model(
     and halves (below the rejected step) on a rejected one, down to 1e-12
     min(w).  A trial is clipped into the kernel domain and accepted only if
     its SSE is lower, so the polished model is at least as good on the
-    training data as its seed.  The polish stops at first-order
-    stationarity, |g_k| / 2 at most ``_STATIONARY`` |Jp_k| |r| for every
-    coordinate not held; or when no trial descends; or after ``steps``
-    steps, a cap.
+    training data as its seed.  With curvature the polish stops at
+    first-order stationarity, |g_k| / 2 at most ``_STATIONARY`` |Jp_k| |r|
+    for every coordinate not held, and without it J is never formed.  It
+    also stops when no trial descends, or after ``steps`` steps, a cap.
     """
     if model.n_terms == 0 or steps == 0:
         return model
     Z, W, J = model.centers, model.widths, model.n_terms
     X, y, p = samples.X, samples.y, kernel.dim
-    lo = np.append(kernel.box[:, 0], kernel.w_lo)
-    hi = np.append(kernel.box[:, 1], kernel.w_hi)
+    lo, hi = kernel.bounds
     moving = np.array([True] * p + [refine_widths])
     curved = samples.n >= J * (p + refine_widths + 1)
     ridge = _RIDGE * np.eye(J)
@@ -330,7 +327,8 @@ def polish_model(
         r = y - Phi @ amps
         return amps, r, float(r @ r)
 
-    Phi, d2 = kernels.cross(kernel, X, Z, W, with_sqdist=True)
+    d2 = kernels.sqdist(X, Z)
+    Phi = kernels.gaussian(d2, W)
     amps, resid, sse = refit(Phi)
     theta = np.column_stack([Z, W])  # each term's coordinates (z, w)
     step = 0.1 * float(W.min())
@@ -345,20 +343,20 @@ def polish_model(
         if norm == 0.0 or not math.isfinite(norm):
             break
         g = np.column_stack([gz, gw])
-        # J's column (j, k), a_j d phi_j / d theta_jk, less its part in the
-        # span of the kernel columns, which the amplitudes absorb
-        A = Phi * amps
-        dz = A[:, :, None] * diff.transpose(1, 0, 2) / (W**2)[:, None]
-        jac = np.concatenate([dz, (A * d2 / W**3)[:, :, None]], axis=2).reshape(len(y), -1)
-        jac -= Phi @ np.linalg.solve(Phi.T @ Phi + ridge, Phi.T @ jac)
-        # a coordinate at its bound that -g pushes outward is held
-        free = (moving & np.where(g > 0.0, theta > lo, theta < hi)).ravel()
-        gf, gram = g.ravel()[free], jac[:, free].T @ jac[:, free]
-        # each free coordinate's cosine |Jp_k^T r| / (|Jp_k| |r|): g_k = -2 Jp_k^T r,
-        # and |Jp_k|^2 is on the gram's diagonal
-        if np.all(np.abs(gf) <= 2.0 * _STATIONARY * math.sqrt(sse) * np.sqrt(np.diag(gram))):
-            break
         if curved:
+            # J's column (j, k), a_j d phi_j / d theta_jk, less its part in the
+            # span of the kernel columns, which the amplitudes absorb
+            A = Phi * amps
+            dz = A[:, :, None] * diff.transpose(1, 0, 2) / (W**2)[:, None]
+            jac = np.concatenate([dz, (A * d2 / W**3)[:, :, None]], axis=2).reshape(len(y), -1)
+            jac -= Phi @ np.linalg.solve(Phi.T @ Phi + ridge, Phi.T @ jac)
+            # a coordinate at its bound that -g pushes outward is held
+            free = (moving & np.where(g > 0.0, theta > lo, theta < hi)).ravel()
+            gf, gram = g.ravel()[free], jac[:, free].T @ jac[:, free]
+            # each free coordinate's cosine |Jp_k^T r| / (|Jp_k| |r|): g_k = -2 Jp_k^T r,
+            # and |Jp_k|^2 is on the gram's diagonal
+            if np.all(np.abs(gf) <= 2.0 * _STATIONARY * math.sqrt(sse) * np.sqrt(np.diag(gram))):
+                break
             L, V = np.linalg.eigh(2.0 * gram)
         # W changes only when a trial is taken: one floor per step
         floor = 1e-12 * float(W.min())
@@ -372,10 +370,8 @@ def polish_model(
             # min(max(.)) is np.clip's arithmetic
             prop = np.minimum(np.maximum(theta + move, lo), hi)
             Zp, Wp = prop[:, :p], prop[:, p]
-            # Wp lies in the width domain: the Gaussian straight from the
-            # distances, as kernels.cross evaluates it
             d2_p = kernels.sqdist(X, Zp)
-            Phi_p = np.exp(d2_p / (-2.0 * Wp**2))
+            Phi_p = kernels.gaussian(d2_p, Wp)
             amps_p, resid_p, sse_p = refit(Phi_p)
             if sse_p < sse:
                 theta, Z, W, Phi, d2, amps, resid, sse = prop, Zp, Wp, Phi_p, d2_p, amps_p, resid_p, sse_p

@@ -5,7 +5,9 @@ All estimators in this package share the parametrized family
     k(x, z; w) = exp(-||x - z||^2 / (2 w^2)),
 
 with centers z constrained to an axis-aligned box and widths w to a closed
-interval.  Everything here is a pure function of its arguments.
+interval: the box of (z, w) whose corners ``KernelSpec.bounds`` gives.  Every
+kernel value is ``gaussian``, the family's one formula, of ``sqdist``'s output.
+Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ class KernelSpec(Document):
     def dim(self) -> int:
         return self.box.shape[0]
 
+    @property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lower and upper corners of the (z_1, ..., z_p, w) domain."""
+        return np.append(self.box[:, 0], self.w_lo), np.append(self.box[:, 1], self.w_hi)
+
 
 def _check_width(spec: KernelSpec, w) -> None:
     """Refuse any width outside [w_lo, w_hi], naming the first one."""
@@ -88,37 +95,38 @@ def sqdist(X, Z) -> np.ndarray:
     return d2
 
 
-def cross(spec: KernelSpec, X, Z, W, with_sqdist: bool = False):
+def gaussian(d2, W, out=None) -> np.ndarray:
+    """The kernel exp(d2 / (-2 W^2)) of squared distances d2, into ``out`` if given; W unchecked."""
+    K = np.divide(d2, -2.0 * W**2, out=out)
+    return np.exp(K, out=K)
+
+
+def cross(spec: KernelSpec, X, Z, W) -> np.ndarray:
     """Kernel matrix K[i, g] = k(x_i, Z_g; W_g) between samples and nodes.
 
     ``W`` may be a scalar (one width for every node), a length-G vector,
     or a column of one width per row of X, which gives K^T bit for bit
-    from ``cross(spec, Z, X, W[:, None])``.  With ``with_sqdist`` the
-    squared-distance matrix is returned as well, which gradients reuse.
+    from ``cross(spec, Z, X, W[:, None])``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     W = np.asarray(W, dtype=float)
     _check_width(spec, W)
     d2 = sqdist(X, Z)
-    # in place: one N x G array besides d2 (none without with_sqdist)
-    K = d2 / (-2.0 * W**2) if with_sqdist else np.divide(d2, -2.0 * W**2, out=d2)
-    np.exp(K, out=K)
-    return (K, d2) if with_sqdist else K
+    return gaussian(d2, W, out=d2)
 
 
 def grid(spec: KernelSpec, X, Z, W) -> np.ndarray:
     """``cross`` on the product nodes Z x W, widths fastest, bit for bit, from one sqdist(X, Z).
 
-    Each center's distances are divided by -2 W_k^2 along a broadcast width
-    axis, then exponentiated in place.  A vector W makes the nodes K's
-    columns; a column W makes them its rows: K^T = grid(spec, Z, X, W[:, None]).
+    Each center's distances go through ``gaussian`` along a broadcast width
+    axis.  A vector W makes the nodes K's columns; a column W makes them its
+    rows: K^T = grid(spec, Z, X, W[:, None]).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     W = np.asarray(W, dtype=float)
     _check_width(spec, W)
     d2 = sqdist(X, Z)
-    K = np.divide(d2[:, None, :] if W.ndim == 2 else d2[:, :, None], -2.0 * W**2)
-    np.exp(K, out=K)
+    K = gaussian(d2[:, None, :] if W.ndim == 2 else d2[:, :, None], W)
     return K.reshape(-1, Z.shape[0]) if W.ndim == 2 else K.reshape(X.shape[0], -1)

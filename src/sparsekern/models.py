@@ -56,7 +56,7 @@ class DiscreteModel:
     def predict_batch(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         d2 = kernels.sqdist(X, self.centers)
-        return np.exp(-d2 / (2.0 * self.widths[None, :] ** 2)) @ self.amplitudes
+        return kernels.gaussian(d2, self.widths, out=d2) @ self.amplitudes
 
     def to_dict(self) -> dict:
         return {

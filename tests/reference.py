@@ -3,7 +3,7 @@
 ``value`` and ``grad`` evaluate one kernel and its analytic partials at one
 pair of points; ``BumpField`` is a piecewise-constant coefficient field
 built from a discrete model.  The package itself evaluates kernels only in
-batches (``kernels.cross``, ``AlphaField.smooth_derivatives``).
+batches, every one through ``kernels.gaussian`` of ``kernels.sqdist``.
 ``polish_model`` is the package's polish as first written: backtracking
 steps of length ``step`` along the normalised gradient, one numpy call per
 operation.  Where the fit has fewer samples than parameters the package's
@@ -149,7 +149,10 @@ def polish_model(
         r = y - Phi @ amps
         return amps, r, float(r @ r)
 
-    Phi, d2 = kernels.cross(kernel, X, Z, W, with_sqdist=True)
+    # W lies in the width domain: the Gaussian straight from the distances,
+    # by the arithmetic of kernels.gaussian
+    d2 = kernels.sqdist(X, Z)
+    Phi = np.exp(d2 / (-2.0 * W**2))
     amps, resid, sse = refit(Phi)
     step = 0.1 * float(np.min(W))
     for _ in range(steps):
@@ -165,8 +168,7 @@ def polish_model(
         while step > 1e-12 * float(np.min(W)):
             Zp = np.clip(Z - step * gz / norm, box[:, 0], box[:, 1])
             Wp = np.clip(W - step * gw / norm, kernel.w_lo, kernel.w_hi)
-            # Wp lies in the width domain: the Gaussian straight from the
-            # distances, as kernels.cross evaluates it
+            # as for Phi above
             d2_p = kernels.sqdist(X, Zp)
             Phi_p = np.exp(d2_p / (-2.0 * Wp**2))
             amps_p, resid_p, sse_p = refit(Phi_p)

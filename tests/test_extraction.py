@@ -122,6 +122,32 @@ def test_first_refine_step_is_half_the_largest_spacing_along_a_moving_axis(study
     assert mask.tolist() == moving
     assert steps0.size > 0 and np.all(steps0 == step0)
 
+def test_first_refine_step_scales_with_each_axis_of_an_anisotropic_box():
+    # one sample of a fixed-width field on [0, 1] x [0, 100]: the 8-node scan
+    # spaces the second axis 12.5 apart, and a step sized by the first axis's
+    # 0.125 ends its 50 refine steps at (0.470, 53.125), short of the sample
+    box = np.array([[0.0, 1.0], [0.0, 100.0]])
+    kernel = KernelSpec(w_lo=1.0, w_hi=20.0, box=box)
+    data = SampleSet(np.array([[0.5, 50.3]]), np.array([1.0]), box)
+    field = AlphaField(data, np.array([1.0]), 0.0, kernel, ProblemVariant.fixed_width(10.0))
+    (z, w), = find_peaks(field, PeakConfig(8, 2))
+    assert w == 10.0
+    assert np.allclose(z, [0.5, 50.3], rtol=1e-12, atol=1e-12)
+
+
+def test_refine_merges_each_pii_full_desk_field_to_three_peaks():
+    # the study's fields and scan, seed 0, reps 0-9: a candidate left on its
+    # scan node, or moved to the vertex of its per-axis parabola, stays
+    # apart from the peak its ridge leads to, and rep 9 gives 4 peaks
+    from sparsekern import experiments as ex, losses
+
+    for rep in range(10):
+        train, _ = ex._mixed_gauss_draw(rep, 100, 500)
+        loss = losses.default_loss("quadratic_eps", train.y)
+        _, field = fit(train, ex.MIXED_KERNEL, loss, ProblemVariant.full(), ex.PII_FULL_CONFIG)
+        assert len(find_peaks(field, PeakConfig(96, 32, 0.1))) == 3, rep
+
+
 def test_refit_recovers_unit_amplitude():
     rng = np.random.default_rng(4)
     X = rng.uniform(0, 5, (30, 1))
@@ -226,19 +252,43 @@ def _same(a, b):
     return all(np.array_equal(getattr(a, part), getattr(b, part)) for part in ("amplitudes", "centers", "widths"))
 
 
-def test_polish_equals_the_reference_bit_for_bit():
-    # 8 centers-only terms on 12 samples: fewer samples than the 16
-    # parameters, so the curvature is zero and the step is the reference's
+def _zero_curvature_case():
+    """8 centers-only terms on 12 samples: fewer samples than the 16
+    parameters, so the curvature is zero and the step is the reference's."""
     kernel = KernelSpec(w_lo=0.3, w_hi=1.8, box=np.array([[0.0, 5.0]]))
     rng = np.random.default_rng(0)
     X = rng.uniform(0.0, 5.0, (12, 1))
     data = SampleSet(X, np.sin(2.0 * X[:, 0]) + 0.1 * rng.normal(size=12), kernel.box)
     seed = refit_amplitudes([(np.array([c]), 0.5) for c in np.linspace(0.4, 4.6, 8)], data, kernel)
+    return seed, data, kernel
+
+
+def test_polish_equals_the_reference_bit_for_bit():
+    seed, data, kernel = _zero_curvature_case()
     got = polish_model(seed, data, kernel, 40)
     want = reference.polish_model(seed, data, kernel, 40)
     # the reference takes all 40 steps, so every step was compared
     assert not _same(want, reference.polish_model(seed, data, kernel, 39))
     assert _same(got, want)
+
+
+def test_zero_curvature_polish_builds_no_gauss_newton_model(monkeypatch):
+    # every solve is an amplitude refit, with one right-hand side: the
+    # Jacobian is never projected, and its Gram never formed or factored
+    seed, data, kernel = _zero_curvature_case()
+    solve, rhs = np.linalg.solve, []
+
+    def recording(a, b):
+        rhs.append(np.ndim(b))
+        return solve(a, b)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigh called without curvature")
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    polish_model(seed, data, kernel, 40)
+    assert len(rhs) > 40 and set(rhs) == {1}
 
 
 def test_overdetermined_polish_ends_below_the_reference_before_its_cap():

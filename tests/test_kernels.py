@@ -146,6 +146,20 @@ def test_grid_is_cross_of_the_expanded_nodes_bit_for_bit(p):
     assert np.array_equal(kernels.grid(spec, centers, X, widths[:, None]), K.T)
 
 
+def test_gaussian_is_the_kernel_of_squared_distances_in_place_or_not():
+    d2 = np.random.default_rng(5).uniform(0.0, 4.0, (6, 4))
+    W = np.array([0.05, 0.3, 1.0, 3.0])
+    K = kernels.gaussian(d2, W)
+    assert np.array_equal(K, np.exp(-d2 / (2.0 * W**2)))
+    out = d2.copy()
+    assert kernels.gaussian(out, W, out=out) is out and np.array_equal(out, K)
+
+
+def test_bounds_are_the_corners_of_the_center_and_width_domain():
+    lo, hi = KernelSpec(w_lo=0.2, w_hi=1.5, box=np.array([[0.0, 3.0], [-1.0, 2.0]])).bounds
+    assert lo.tolist() == [0.0, -1.0, 0.2] and hi.tolist() == [3.0, 2.0, 1.5]
+
+
 def test_grid_width_outside_domain_names_it():
     widths = np.array([0.5, 3.5, 1.0])
     for W in (widths, widths[:, None]):
