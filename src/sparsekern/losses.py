@@ -15,6 +15,7 @@ clamp radius (10 unless set) where that objective is unbounded below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,10 @@ class Loss(Document):
             raise DomainError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
         if not 0 < self.clamp_radius < np.inf:
             raise DomainError(f"clamp_radius must be finite and positive, got {self.clamp_radius!r}")
+        # the slope of -phi in |lam| for the two symmetric kinds, set once; no
+        # field, so never saved
+        rate = math.sqrt(self.epsilon) if self.kind == "quadratic_eps" else self.epsilon
+        object.__setattr__(self, "rate", rate)
 
 
 def default_loss(kind: str, y, epsilon: float | None = None) -> Loss:
@@ -51,9 +56,9 @@ def default_loss(kind: str, y, epsilon: float | None = None) -> Loss:
 
 
 def value(loss: Loss, yhat, y):
-    """c(yhat, y); broadcasts over array arguments."""
-    yhat = np.asarray(yhat, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """c(yhat, y); broadcasts over array arguments, and reads an ndarray as it is."""
+    yhat = yhat if isinstance(yhat, np.ndarray) else np.asarray(yhat, dtype=float)
+    y = y if isinstance(y, np.ndarray) else np.asarray(y, dtype=float)
     if loss.kind == "quadratic_eps":
         out = (yhat - y) ** 2 - loss.epsilon
     elif loss.kind == "absolute_eps":
@@ -117,19 +122,14 @@ def inner_minimize(loss: Loss, lam, mu, y):
     return yhat.reshape(shape)
 
 
-def _rate(loss: Loss) -> float:
-    # slope of -phi in |lam| for the two symmetric kinds
-    return float(np.sqrt(loss.epsilon)) if loss.kind == "quadratic_eps" else loss.epsilon
-
-
 def phi(loss: Loss, lam, y) -> float:
     """Closed-form dual fit term (mu maximised out), summed over samples."""
-    lam = np.asarray(lam, dtype=float)
+    lam = lam if isinstance(lam, np.ndarray) else np.asarray(lam, dtype=float)
     if loss.kind == "hinge_eps":
         if np.any(lam * y < 0.0):
             return -np.inf
         return (1.0 - loss.epsilon) * float(np.dot(lam, y))
-    return float(np.dot(lam, y) - _rate(loss) * np.abs(lam).sum())
+    return float(np.dot(lam, y) - loss.rate * np.add.reduce(np.abs(lam)))
 
 
 def prox(loss: Loss, v, y, t: float) -> np.ndarray:
@@ -142,4 +142,4 @@ def prox(loss: Loss, v, y, t: float) -> np.ndarray:
         u = v + (t * (1.0 - loss.epsilon)) * y
         return np.where(u * y >= 0.0, u, 0.0)
     u = v + t * y
-    return np.sign(u) * np.maximum(np.abs(u) - t * _rate(loss), 0.0)
+    return np.sign(u) * np.maximum(np.abs(u) - t * loss.rate, 0.0)

@@ -20,9 +20,14 @@ candidate's g is read from its own surface pass, and the ascent starts
 from the one of largest g, lambda = 0 (g = 0) among them.  A step from
 the extrapolated point that does not raise g restarts the momentum
 (O'Donoghue & Candes 2015); one from the iterate itself halves the step.
-An iteration costs one N x G pass, K^T of the new iterate, plus the
-certificate of the extrapolated point, whose abar is linear in the last
-two iterates.  Each iteration certifies that point from vectors in hand:
+A step computes abar at the new iterate, one N x G pass, for its g, and
+certifies the extrapolated point, whose abar is linear in the last two
+iterates: one product of yhat with the rows of K^T gathered for it.
+Factored (below), the pass is P lam and a float32 pass on M's leading
+columns, the new iterate's g is read from its own certificate, and the
+products run on gathered rows of M: some seventy numpy calls on vectors
+of r to G entries, whose per-call cost, not their flops, sets the time
+of a step.  Each iteration certifies that point from vectors in hand:
 rel_gap = |P - g| / max(1, |P|) with P = integral of alpha^2 / 2 + gamma
 1[alpha != 0] the primal value of its field, and max_i c(yhat_i, y_i) its
 constraint violation.  ``fit`` stops when both are at most ``tol``;
@@ -179,20 +184,23 @@ class _NodeMatrix:
     largest (seeds 1, 7 and 41-43).
 
     The loop asks for K^T lam only through ``surface``, ``extrapolate``,
-    ``integral`` and ``certificate_terms``.  A surface holds its
-    coordinates u (P lam once factored, else lam itself), the values s of
-    abar at the nodes, and scale, the size of their error bound: 0 for a
-    float64 s, which is exact.  A factored K keeps the leading q columns of
-    M in float32 (M32, 0.64 MB on cli_fit beside the 1.9 MB float64 M), q
-    the fewest whose dropped tail has R_tail = max_j ||M_j[q:]|| <= 2^-24
+    ``integral`` and ``certificate_terms``.  A surface is the plain triple
+    (u, s, scale): the coordinates u (P lam once factored, else lam
+    itself), the values s of abar at the nodes, and scale, the size of
+    their error bound: 0 for a float64 s, which is exact.  A step makes one
+    surface, extrapolates one and certifies two: the extrapolated point,
+    and the new iterate's g from its float32 surface (from ``integral``'s
+    min formula on an exact one).  A factored K keeps the leading q columns
+    of M in float32 (M32, 0.64 MB on cli_fit beside the 1.9 MB float64 M),
+    q the fewest whose dropped tail has R_tail = max_j ||M_j[q:]|| <= 2^-24
     R, R = max_j ||M_j||: M's columns fall with the sketch's singular
-    values, and cli_fit has q = 51-52 of r = 77.  Its surface is s32 =
-    M32 fl32(u[:q]), and |s32_j - s_j| <= gamma_{q+2} ||M_j|| ||u|| +
-    R_tail ||u[q:]|| (Higham, Accuracy and Stability of Numerical
-    Algorithms, 3.1; gamma_n = n e / (1 - n e), e = 2^-24), with scale =
-    R ||u||.  The extrapolated point is formed in float32 with scale (1 +
-    beta) scale + beta scale_prev, and u in r-space: gamma_{q+6} covers
-    its three roundings.  A dense K stays float64.
+    values, and cli_fit has q = 51-52 of r = 77.  Its surface is s32 = M32
+    fl32(u[:q]), and |s32_j - s_j| <= gamma_{q+2} ||M_j|| ||u|| + R_tail
+    ||u[q:]|| (Higham, Accuracy and Stability of Numerical Algorithms, 3.1;
+    gamma_n = n e / (1 - n e), e = 2^-24), with scale = R ||u||.  The
+    extrapolated point is formed in float32 with scale (1 + beta) scale +
+    beta scale_prev, and u in r-space: gamma_{q+6} covers its three
+    roundings.  A dense K stays float64.
 
     The certificate of a surface s, read by ``certificate_terms``, puts
     node j on the support when |s_j| > sqrt(2 gamma).  A node whose ||s_j|
@@ -282,10 +290,14 @@ class _NodeMatrix:
 
         def sketch(stride, cols):
             """K Omega^T on every stride-th node and the first cols signs."""
-            out = np.zeros((N, cols))
+            out, signs = np.zeros((N, cols)), np.empty((_CHECK_BLOCK, cols))
             for j in range(0, G, stride * _CHECK_BLOCK):
                 part = slice(j, j + stride * _CHECK_BLOCK, stride)
-                out += read(part).T @ (1.0 - 2.0 * np.unpackbits(bits[part], axis=1, count=cols))
+                block = read(part)
+                sign = np.unpackbits(bits[part], axis=1, count=cols)
+                sign = np.multiply(sign, -2.0, out=signs[: len(block)])
+                sign += 1.0  # 1 - 2 b for the bits b, in place
+                out += block.T @ sign
             return out
 
         probe = sketch(_PROBE_STRIDE, h + 1)
@@ -299,11 +311,14 @@ class _NodeMatrix:
         if G * r > _PRECOMPUTE_LIMIT:  # never for a held K: r < N
             return False
         basis = np.ascontiguousarray(U[:, :r].T)
-        M = np.empty((G, r))
+        M, resid = np.empty((G, r)), np.empty((_CHECK_BLOCK, N))
         for j in range(0, G, _CHECK_BLOCK):
             block = read(slice(j, j + _CHECK_BLOCK))
-            M[j : j + _CHECK_BLOCK] = block @ basis.T
-            if np.max(np.abs(block - M[j : j + _CHECK_BLOCK] @ basis)) > N * _EPS:
+            rows, err = M[j : j + _CHECK_BLOCK], resid[: len(block)]
+            # |K^T - M P| on the block, in one buffer
+            np.matmul(block, basis.T, out=rows)
+            np.subtract(block, np.matmul(rows, basis, out=err), out=err)
+            if np.abs(err, out=err).max() > N * _EPS:
                 return False
         self._rows, self._basis = M, basis
         self._row_norm = float(np.sqrt(np.max(np.einsum("ij,ij->i", M, M))))
@@ -338,46 +353,47 @@ class _NodeMatrix:
         return kernels.cross(kernel, centers[c], X, widths[k, None])
 
     def surface(self, lam):
-        """abar = K^T lam at the nodes, as a _Surface (see the class docstring)."""
+        """abar = K^T lam at the nodes, as a surface (u, s, scale): see the class docstring."""
         if self._basis is not None:
             return self._surface(self._basis @ lam)
-        return _Surface(lam, self._rows @ lam, 0.0)
+        return lam, self._rows @ lam, 0.0
 
     def zero_surface(self):
         """The surface of lambda = 0 without a pass: zeros, float32 once factored (scale R ||u|| = 0)."""
         G, n = self._rows.shape
-        return _Surface(np.zeros(n), np.zeros(G, np.float64 if self._basis is None else np.float32), 0.0)
+        return np.zeros(n), np.zeros(G, np.float64 if self._basis is None else np.float32), 0.0
 
     def _surface(self, u):
         """The float32 pass for u = P lam, or the exact one outside float32's range."""
-        peak = np.abs(u).max()  # nan when u holds one; u @ u cannot overflow below it
-        norm_u = math.sqrt(u @ u) if peak <= _F32_SCALE_MAX else np.inf
+        peak = np.maximum.reduce(np.abs(u))  # nan when u holds one; u @ u cannot overflow below it
+        norm_u = math.sqrt(u @ u) if peak <= _F32_SCALE_MAX else math.inf
         scale = self._row_norm * norm_u
         if max(norm_u, scale) <= _F32_SCALE_MAX:
-            q = self._cols32.shape[0]
-            return _Surface(u, u[:q].astype(np.float32) @ self._cols32, scale)
-        return _Surface(u, self._rows @ u, 0.0)
+            return u, u[: len(self._cols32)].astype(np.float32) @ self._cols32, scale
+        return u, self._rows @ u, 0.0
 
     def extrapolate(self, surf, prev, beta):
         """The surface of x + beta (x - x_prev) from those of x and x_prev, by linearity."""
         if not beta:
             return surf
-        u = surf.u + beta * (surf.u - prev.u)
-        if surf.s.dtype != prev.s.dtype:  # one float32, one exact
+        (u, s, scale), (u_prev, s_prev, scale_prev) = surf, prev
+        u = u + beta * (u - u_prev)
+        if s.dtype != s_prev.dtype:  # one float32, one exact
             return self._surface(u)
-        s = surf.s - prev.s
-        s *= s.dtype.type(beta)
-        s += surf.s
-        return _Surface(u, s, (1.0 + beta) * surf.scale + beta * prev.scale)
+        d = s - s_prev
+        d *= s.dtype.type(beta)
+        d += s
+        return u, d, (1.0 + beta) * scale + beta * scale_prev
 
     def integral(self, surf, gamma) -> float:
         """w sum_j min(0, gamma - s_j^2 / 2) for the surface s."""
-        if surf.s.dtype == np.float32:
+        s = surf[1]
+        if s.dtype == np.float32:
             mass, sq, _, _ = self.certificate_terms(surf, gamma, with_yhat=False)
             return gamma * mass - 0.5 * sq
         # min(0, gamma - s^2 / 2) = (min(s^2, 2 gamma) - s^2) / 2
-        sq = surf.s * surf.s
-        return 0.5 * self._w * float(np.sum(np.minimum(sq, 2.0 * gamma) - sq))
+        sq = s * s
+        return 0.5 * self._w * float((np.minimum(sq, 2.0 * gamma) - sq).sum())
 
     def certificate_terms(self, surf, gamma, with_yhat=True):
         """(W_on, sum_on w s^2, the support's share of the nodes, yhat = K (w s 1_on) or None).
@@ -385,41 +401,40 @@ class _NodeMatrix:
         on = |s| > sqrt(2 gamma) for the surface s, read from its block
         (class docstring).
         """
-        G, w = surf.s.size, self._w
-        nodes, on_side, rows = self._gather(surf, gamma)
-        s = rows @ surf.u if surf.s.dtype == np.float32 else surf.s[nodes]
-        tau = math.sqrt(2.0 * gamma)
+        u, s, scale = surf
+        G, w, tau = s.size, self._w, math.sqrt(2.0 * gamma)
+        nodes, on_side, rows = self._gather(s, scale, tau)
+        s = rows @ u if s.dtype == np.float32 else s[nodes]
         side = np.abs(s) > tau if on_side else np.abs(s) <= tau
         s = s * side  # zero off the gathered side; a small K's s[nodes] is a view
         sq = w * float(s @ s)
         n_on = int(np.count_nonzero(side))
         if not on_side:
-            cu = self._gram @ surf.u
-            sq, n_on = float(surf.u @ cu) - sq, G - n_on
+            cu = self._gram @ u
+            sq, n_on = float(u @ cu) - sq, G - n_on
         if not with_yhat:
             return w * n_on, sq, n_on / G, None
         part = s @ rows
         part *= w
         return w * n_on, sq, n_on / G, self._lift(part if on_side else cu - part)
 
-    def _gather(self, surf, gamma):
-        """The _Block of nodes whose exact values the certificate reads (class docstring).
+    def _gather(self, s, scale, tau):
+        """The _Block of nodes whose exact values the certificate of s reads (class docstring).
 
         A small K returns its one block.  The needed nodes are the smaller
         side of the support as s places it, the support itself
         (``on_side``) or its complement, with every node within the
-        surface's error bound of the threshold.  Any other K returns its
+        surface's error bound of the threshold tau.  Any other K returns its
         kept block, a superset of the needed nodes, gathered again on
         exactly them when the side changes or a needed node falls outside
         it.
         """
         if self._small:
             return self._block
-        a = np.abs(surf.s)
-        tau = math.sqrt(2.0 * gamma)
+        a = np.abs(s)
         bound = 0.0
         if a.dtype == np.float32:
-            bound = self._f32_rel * surf.scale + self._f32_floor
+            bound = self._f32_rel * scale + self._f32_floor
             bound += 2.0**-22 * (tau + bound)  # and the rounding of tau +- bound to float32
         cast = a.dtype.type
         limit = a.size // 2
@@ -442,30 +457,6 @@ class _NodeMatrix:
 # node), the side of the support they hold, and the rows of K^T (or M) there,
 # kept across steps
 _Block = namedtuple("_Block", "nodes on_side rows")
-
-
-# abar = K^T lam at the nodes: the coordinates u (P lam once factored, else
-# lam), s, and scale, the size R ||u|| a float32 s's error bound rests on,
-# 0 for an exact float64 s
-_Surface = namedtuple("_Surface", "u s scale")
-
-
-# g, P, rel_gap, max_i c(yhat_i, y_i), alpha's share of the nodes, yhat = K (w * alpha)
-_Certificate = namedtuple("_Certificate", "g primal rel_gap max_c support yhat")
-
-
-def _certify(problem, lam, surface, op, t):
-    """The certificate of lambda, whose abar at the nodes is ``surface``."""
-    gamma = problem.gamma
-    mass, sq, support, yhat = op.certificate_terms(surface, gamma)
-    g = losses.phi(problem.loss, lam, problem.samples.y) + gamma * mass - 0.5 * sq
-    primal = gamma * mass + 0.5 * sq
-    max_c = float(np.max(losses.value(problem.loss, yhat, problem.samples.y)))
-    rel_gap = abs(primal - g) / max(1.0, abs(primal))
-    # g = -inf is no failure: an extrapolated point may leave hinge's half-line
-    if not (np.isfinite(max_c) and g < np.inf):
-        raise DivergenceError(t, float(np.linalg.norm(lam)))
-    return _Certificate(g, primal, rel_gap, max_c, support, yhat)
 
 
 def dual_objective(state: DualState, problem: Problem, quad: Quadrature) -> float:
@@ -500,34 +491,44 @@ def _start(problem, op):
 def _accelerated_ascent(problem, op, config):
     """FISTA with restart and step halving from ``_start``; returns the final DualState."""
     loss, y, gamma = problem.loss, problem.samples.y, problem.gamma
+    tol, iters = config.tol, config.iters
     step = 1.0 / max(op.lipschitz, 1e-300)
-    x, s, g_x = _start(problem, op)
-    x_prev, s_prev = x, s
+    x, surf, g_x = _start(problem, op)
+    x_prev, surf_prev = x, surf
     theta, beta, t = 1.0, 0.0, 0
     trace = []
     while True:
-        # the extrapolated point and its abar, by linearity
+        # the extrapolated point, its abar by linearity, and its certificate:
+        # g, the primal value P, rel_gap, and max_i c(yhat_i, y_i)
         lam = x + beta * (x - x_prev) if beta else x
-        cert = _certify(problem, lam, op.extrapolate(s, s_prev, beta), op, t)
-        converged = cert.rel_gap <= config.tol and cert.max_c <= config.tol
-        done = converged or t == config.iters
+        mass, sq, support, yhat = op.certificate_terms(op.extrapolate(surf, surf_prev, beta), gamma)
+        g = losses.phi(loss, lam, y) + gamma * mass - 0.5 * sq
+        primal = gamma * mass + 0.5 * sq
+        # np.maximum.reduce is ndarray.max without its Python-level wrapper
+        max_c = float(np.maximum.reduce(losses.value(loss, yhat, y)))
+        rel_gap = abs(primal - g) / max(1.0, abs(primal))
+        # g = -inf is no failure: an extrapolated point may leave hinge's half-line
+        if not (math.isfinite(max_c) and g < math.inf):
+            raise DivergenceError(t, float(np.linalg.norm(lam)))
+        converged = rel_gap <= tol and max_c <= tol
+        done = converged or t == iters
         if t % _TRACE_EVERY == 0 or done:
-            trace.append((t, cert.g, cert.rel_gap, max(0.0, cert.max_c), cert.support))
+            trace.append((t, g, rel_gap, max(0.0, max_c), support))
         if done:
-            return DualState(lam, t, trace, converged, cert.g, cert.primal, cert.rel_gap, cert.max_c)
-        x_new = losses.prox(loss, lam - step * cert.yhat, y, step)
-        s_new = op.surface(x_new)
-        g_new = losses.phi(loss, x_new, y) + op.integral(s_new, gamma)
+            return DualState(lam, t, trace, converged, g, primal, rel_gap, max_c)
+        x_new = losses.prox(loss, lam - step * yhat, y, step)
+        surf_new = op.surface(x_new)
+        g_new = losses.phi(loss, x_new, y) + op.integral(surf_new, gamma)
         t += 1
         if g_new >= g_x:
-            x_prev, s_prev, x, s, g_x = x, s, x_new, s_new, g_new
-            theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+            x_prev, surf_prev, x, surf, g_x = x, surf, x_new, surf_new, g_new
+            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
             beta, theta = (theta - 1.0) / theta_next, theta_next
         elif beta:
             theta, beta = 1.0, 0.0
         else:
             step *= 0.5
-        if t == config.iters:
+        if t == iters:
             beta = 0.0  # the last pass certifies the iterate itself
 
 

@@ -9,16 +9,20 @@ steps of length ``step`` along the normalised gradient, one numpy call per
 operation.  Where the fit has fewer samples than parameters the package's
 polish takes the same steps and must match it bit for bit; elsewhere it
 takes trust-region Gauss-Newton steps and must end at an SSE no higher.
+``accelerated_ascent`` is the solver's FISTA loop on a held K small enough
+to be certified whole, one numpy call per operation; ``solver.fit`` must
+match it bit for bit there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from sparsekern import kernels
-from sparsekern.dual_field import _midpoints
+from sparsekern.dual_field import Quadrature, _midpoints, quadrature_nodes
 from sparsekern.datasets import SampleSet
 from sparsekern.errors import DomainError
 from sparsekern.extraction import _RIDGE
@@ -181,3 +185,75 @@ def polish_model(
         if not improved:
             break
     return DiscreteModel(amps, Z, W)
+
+
+def accelerated_ascent(problem, config, lam, g, trace_every=50):
+    """The solver's ascent from (lam, g(lam)) on the dense K^T of the config's nodes.
+
+    FISTA with step 1/L, L the largest eigenvalue of A = w K K^T: from the
+    extrapolated point lam + beta (lam - lam_prev), a gradient step on the
+    integral, then the prox of phi.  A step that does not raise g restarts
+    the momentum, or halves the step when there is none.  Every point it
+    extrapolates to is certified from every node, abar = K^T lam extrapolated
+    by linearity: g, the primal value P, rel_gap = |P - g| / max(1, |P|)
+    and max_i c(yhat_i, y_i).  It stops when both are at most ``tol``, or
+    certifies the iterate itself at ``iters``.  Returns (lam, t, trace,
+    converged, (g, P, rel_gap, max_c)), the trace holding (t, g, rel_gap,
+    max(0, max_c), support fraction) every ``trace_every``-th step and at
+    the last.  Symmetric losses only: the step's prox is a soft threshold.
+    """
+    loss, X, y, gamma = problem.loss, problem.samples.X, problem.samples.y, problem.gamma
+    Z, W, wts = quadrature_nodes(problem.kernel, problem.variant, Quadrature(config.center_nodes, config.width_nodes))
+    Kt = np.ascontiguousarray(kernels.cross(problem.kernel, X, Z, W).T)
+    G, w = Kt.shape[0], float(wts[0])
+    rate = math.sqrt(loss.epsilon) if loss.kind == "quadratic_eps" else loss.epsilon
+    tau = math.sqrt(2.0 * gamma)
+
+    def phi(lam):
+        return float(np.dot(lam, y) - rate * np.sum(np.abs(lam)))
+
+    step = 1.0 / max(float(np.linalg.eigh(w * (Kt.T @ Kt))[0][-1]), 1e-300)
+    x, x_prev = lam, lam
+    s = Kt @ x
+    s_prev = s
+    g_x = g
+    theta, beta, t = 1.0, 0.0, 0
+    trace = []
+    while True:
+        lam, abar = (x + beta * (x - x_prev), s + beta * (s - s_prev)) if beta else (x, s)
+        on = np.abs(abar) > tau
+        alpha = abar * on
+        n_on = int(np.count_nonzero(on))
+        mass = w * n_on
+        sq = w * float(alpha @ alpha)
+        yhat = w * (alpha @ Kt)
+        g = phi(lam) + gamma * mass - 0.5 * sq
+        primal = gamma * mass + 0.5 * sq
+        if loss.kind == "quadratic_eps":
+            max_c = float(np.max((yhat - y) ** 2 - loss.epsilon))
+        else:
+            max_c = float(np.max(np.abs(yhat - y) - loss.epsilon))
+        rel_gap = abs(primal - g) / max(1.0, abs(primal))
+        converged = rel_gap <= config.tol and max_c <= config.tol
+        done = converged or t == config.iters
+        if t % trace_every == 0 or done:
+            trace.append((t, g, rel_gap, max(0.0, max_c), n_on / G))
+        if done:
+            return lam, t, trace, converged, (g, primal, rel_gap, max_c)
+        v = lam - step * yhat
+        u = v + step * y
+        x_new = np.sign(u) * np.maximum(np.abs(u) - step * rate, 0.0)
+        s_new = Kt @ x_new
+        sq_new = s_new * s_new
+        g_new = phi(x_new) + 0.5 * w * float(np.sum(np.minimum(sq_new, 2.0 * gamma) - sq_new))
+        t += 1
+        if g_new >= g_x:
+            x_prev, s_prev, x, s, g_x = x, s, x_new, s_new, g_new
+            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+            beta, theta = (theta - 1.0) / theta_next, theta_next
+        elif beta:
+            theta, beta = 1.0, 0.0
+        else:
+            step *= 0.5
+        if t == config.iters:
+            beta = 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,3 +169,56 @@ def test_prox_matches_grid_argmax(kind):
         # the objective is flat to rounding within ~1e-8 of its maximiser
         assert got == pytest.approx(want, abs=1e-6)
         assert objective(got) >= best - 1e-12
+
+
+def _with_signed_zeros_and_huge(rng, n):
+    """Normal draws with eight entries +-0.0 and eight of magnitude near 1e300."""
+    a = rng.normal(0.0, 2.0, n)
+    picks = rng.permutation(n)
+    a[picks[:8]] = rng.choice([0.0, -0.0], 8)
+    a[picks[8:16]] = rng.choice([-1.0, 1.0], 8) * rng.uniform(0.5, 1.5, 8) * 1e300
+    return a
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_phi_and_prox_are_the_closed_forms_bit_for_bit(kind):
+    # the forms of the losses docstring, with the rate sqrt(eps) or eps
+    # recomputed here; huge entries overflow to inf or nan in both
+    rng = np.random.default_rng(29)
+    for eps in (0.0, 1e-3, 0.05, 0.37):
+        loss = Loss(kind, eps, 10.0)
+        rate = float(np.sqrt(eps)) if kind == "quadratic_eps" else eps
+        for _ in range(5):
+            lam, v = _with_signed_zeros_and_huge(rng, 64), _with_signed_zeros_and_huge(rng, 64)
+            y = rng.choice([-1.0, 1.0], 64) if kind == "hinge_eps" else _with_signed_zeros_and_huge(rng, 64)
+            t = rng.uniform(0.01, 3.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if kind == "hinge_eps":
+                    lam = np.abs(lam) * y  # on the half-line lam y >= 0
+                    assert losses.phi(loss, -lam - y, y) == -np.inf
+                    phi = (1.0 - eps) * float(np.dot(lam, y))
+                    u = v + (t * (1.0 - eps)) * y
+                    prox = np.where(u * y >= 0.0, u, 0.0)
+                else:
+                    phi = float(np.dot(lam, y) - rate * np.sum(np.abs(lam)))
+                    u = v + t * y
+                    prox = np.sign(u) * np.maximum(np.abs(u) - t * rate, 0.0)
+                assert _bits(losses.phi(loss, lam, y)) == _bits(phi)
+                assert _bits(losses.prox(loss, v, y, t)) == _bits(prox)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_loss_rate_is_set_once_and_never_saved(kind):
+    loss = Loss(kind, 0.0128, 3.0)
+    doc = loss.to_dict()
+    assert doc == {"kind": kind, "epsilon": 0.0128, "clamp_radius": 3.0}
+    back = Loss.from_dict(doc)
+    assert back == loss and back.to_dict() == doc and back.rate == loss.rate
+    assert loss.rate == (float(np.sqrt(0.0128)) if kind == "quadratic_eps" else 0.0128)
+    # a new epsilon is a new Loss, with its own rate
+    other = dataclasses.replace(loss, epsilon=0.25)
+    assert other.rate == (0.5 if kind == "quadratic_eps" else 0.25)

@@ -28,6 +28,7 @@ from sparsekern import solver as solver_mod
 from sparsekern.errors import ConfigError, DivergenceError, DomainError
 from sparsekern.models import DiscreteModel
 
+import reference
 from reference import BumpField
 
 KERNEL = KernelSpec(w_lo=0.3, w_hi=1.8, box=np.array([[0.0, 5.0]]))
@@ -279,17 +280,18 @@ def assert_certificate_terms_match_the_dense_pass(op, K, wts, lam, share):
     tau = 2.0 * a[-1] if off == G else 0.5 * a[0] if off == 0 else 0.5 * (a[off - 1] + a[off])
     gamma = 0.5 * tau * tau
     surf = op.surface(lam)
+    _, s, scale = surf
     # every surface is certified from a block: a small K's one block of every
     # node, else the smaller side of the support, at most G/2 nodes when exact
-    block = op._gather(surf, gamma)
+    block = op._gather(s, scale, np.sqrt(2.0 * gamma))
     if op._small:
         assert block.nodes == slice(None) and block.on_side
     else:
         assert block is not None
-        assert surf.scale > 0.0 or np.size(block.nodes) <= G // 2
-    values = surf.s.copy()
+        assert scale > 0.0 or np.size(block.nodes) <= G // 2
+    values = s.copy()
     mass, sq, support, yhat = op.certificate_terms(surf, gamma)
-    assert np.array_equal(surf.s, values)  # the ascent reads the surface again
+    assert np.array_equal(s, values)  # the ascent reads the surface again
     on = np.abs(exact) > tau
     ws = wts * exact
     assert support == np.count_nonzero(on) / G
@@ -318,8 +320,9 @@ def test_streamed_kernel_matrix_matches_the_held_one(monkeypatch):
     big *= 1e4 / np.linalg.norm(big)
     one_block = small._block
     for op in (held, small):
-        assert np.allclose(op.surface(lam).s, K.T @ lam, rtol=1e-13, atol=1e-13)
-        assert op.surface(lam).scale == 0.0
+        _, s, scale = op.surface(lam)
+        assert np.allclose(s, K.T @ lam, rtol=1e-13, atol=1e-13)
+        assert scale == 0.0
         # the step 1/L rests on the exact spectral norm of K diag(w) K^T
         assert op.lipschitz == pytest.approx(np.linalg.norm((K * wts) @ K.T, 2), rel=1e-12)
         # gathered complement up to half the nodes, gathered support past it
@@ -440,7 +443,7 @@ def test_factored_products_match_the_dense_ones_within_rounding(monkeypatch):
         # ||K diag(w) K^T|| = ||M^T diag(w) M||: P has orthonormal rows
         assert op.lipschitz == pytest.approx(np.linalg.norm((K * wts) @ K.T, 2), rel=1e-12)
         lam = np.random.default_rng(0).normal(0.0, 1.0, N)
-        assert op.surface(lam).s.dtype == np.float32
+        assert op.surface(lam)[1].dtype == np.float32
         # gathered complement up to half the nodes, gathered support past it,
         # each with the undecided nodes
         for share in (0.0, 0.05, 0.2, 0.3, 0.4, 0.5, 0.8, 1.0):
@@ -580,20 +583,21 @@ def test_float32_classification_equals_the_float64_pass(seed, size, beta, place,
         lam, lam_prev = ((tau + offset) / abs(at_node)) * np.array([lam, lam_prev])
     here, prev = op.surface(lam), op.surface(lam_prev)
     surf = op.extrapolate(here, prev, beta)
-    assert surf.s.dtype == np.float32
+    u, s, scale = surf
+    assert s.dtype == np.float32
     # the extrapolated point carries the bound of both passes
-    assert surf.scale == ((1.0 + beta) * here.scale + beta * prev.scale if beta else here.scale)
+    assert scale == ((1.0 + beta) * here[2] + beta * prev[2] if beta else here[2])
     if place == "least":
         # the node of least |abar|: its float32 error, set by scale, is largest beside tau
-        node = int(np.argmin(np.abs(op._rows @ surf.u)))
+        node = int(np.argmin(np.abs(op._rows @ u)))
     if place in ("between", "least"):
         # the threshold between node's float32 and float64 values: float32 alone errs there
-        tau = 0.5 * (abs(float(surf.s[node])) + abs(op._rows[node] @ surf.u))
+        tau = 0.5 * (abs(float(s[node])) + abs(op._rows[node] @ u))
         gamma = 0.5 * tau * tau
-    exact = op._rows @ surf.u  # the float64 pass
+    exact = op._rows @ u  # the float64 pass
     on = np.abs(exact) > tau
     # every surface gathers a block; off it the float32 decision is the float64 one
-    nodes, on_side, _ = op._gather(surf, gamma)
+    nodes, on_side, _ = op._gather(s, scale, np.sqrt(2.0 * gamma))
     rest = np.ones(G, dtype=bool)
     rest[nodes] = False
     assert np.all(on[rest] != on_side)
@@ -615,16 +619,17 @@ def test_float32_overflow_takes_the_float64_pass():
     N = K.shape[0]
     lam = 1e40 * np.cos(np.arange(N))
     surf = op.surface(lam)
-    assert surf.scale == 0.0 and surf.s.dtype == np.float64
-    assert np.allclose(surf.s, K.T @ lam, rtol=1e-12, atol=1e-12 * np.abs(K.T @ lam).max())
+    _, s, scale = surf
+    assert scale == 0.0 and s.dtype == np.float64
+    assert np.allclose(s, K.T @ lam, rtol=1e-12, atol=1e-12 * np.abs(K.T @ lam).max())
     mixed = op.extrapolate(surf, op.surface(lam / 1e40), 0.5)
-    assert mixed.scale == 0.0
+    assert mixed[2] == 0.0
     for point in (surf, mixed):
-        on = np.abs(point.s) > np.sqrt(0.4)
+        on = np.abs(point[1]) > np.sqrt(0.4)
         mass, _, support, _ = op.certificate_terms(point, 0.2)
         assert support == np.count_nonzero(on) / on.size and mass == pytest.approx(wts @ on)
-    nan = op.surface(np.full(N, np.nan))
-    assert nan.scale == 0.0 and np.all(np.isnan(nan.s))
+    _, s, scale = op.surface(np.full(N, np.nan))
+    assert scale == 0.0 and np.all(np.isnan(s))
 
 
 def test_float32_pass_reads_only_the_columns_float32_resolves():
@@ -650,10 +655,10 @@ def test_dropped_tail_is_within_the_float32_bound():
     heavy = np.zeros(r)
     heavy[q:] = rng.normal(0.0, 1.0, r - q)
     for u in (rng.normal(0.0, 1.0, r), heavy, np.eye(r)[-1], 1e30 * heavy):
-        surf = op._surface(u)
-        assert surf.s.dtype == np.float32
-        assert tail * np.linalg.norm(u[q:]) <= 2.0**-24 * surf.scale
-        assert tail * np.linalg.norm(u[q:]) <= (op._f32_rel / 2.0) * surf.scale
+        _, s, scale = op._surface(u)
+        assert s.dtype == np.float32
+        assert tail * np.linalg.norm(u[q:]) <= 2.0**-24 * scale
+        assert tail * np.linalg.norm(u[q:]) <= (op._f32_rel / 2.0) * scale
 
 
 def pii_full_operator():
@@ -672,9 +677,10 @@ def pii_full_operator():
 def test_zero_surface_is_the_surface_of_zero_multipliers():
     # _start's lambda = 0 candidate takes it without a pass
     for op in (pii_full_operator()[0], cli_fit_operator(1)[0]):
-        got, want = op.zero_surface(), op.surface(np.zeros(op._args[1].shape[0]))
-        assert got.s.dtype == want.s.dtype and got.scale == want.scale
-        assert np.array_equal(got.u, want.u) and np.array_equal(got.s, want.s)
+        u, s, scale = op.zero_surface()
+        u_want, s_want, scale_want = op.surface(np.zeros(op._args[1].shape[0]))
+        assert s.dtype == s_want.dtype and scale == scale_want
+        assert np.array_equal(u, u_want) and np.array_equal(s, s_want)
 
 
 def test_kept_block_gives_the_float64_terms_along_a_sequence_of_surfaces():
@@ -700,7 +706,8 @@ def test_kept_block_gives_the_float64_terms_along_a_sequence_of_surfaces():
         for c in scales:
             lam = c * lam0
             surf = op.surface(lam)
-            assert surf.s.dtype == (np.float64 if op._basis is None else np.float32)
+            u, s, scale = surf
+            assert s.dtype == (np.float64 if op._basis is None else np.float32)
             before = op._block
             mass, sq, support, yhat = op.certificate_terms(surf, gamma)
             block = op._block
@@ -710,7 +717,7 @@ def test_kept_block_gives_the_float64_terms_along_a_sequence_of_surfaces():
                 events.append("regather")
             else:
                 events.append("new side")
-            exact = op._rows @ surf.u  # the float64 pass
+            exact = op._rows @ u  # the float64 pass
             on = np.abs(exact) > tau
             rest = np.ones(G, dtype=bool)
             rest[block.nodes] = False
@@ -724,7 +731,7 @@ def test_kept_block_gives_the_float64_terms_along_a_sequence_of_surfaces():
                 if op._basis is None:
                     assert extra.size == 0
                 else:
-                    bound = 2.0 * (op._f32_rel * surf.scale + op._f32_floor)
+                    bound = 2.0 * (op._f32_rel * scale + op._f32_floor)
                     assert np.all(np.abs(np.abs(exact[extra]) - tau) <= bound)
             ws = wts * exact
             assert support == np.count_nonzero(on) / G
@@ -793,3 +800,43 @@ def test_hinge_start_stays_on_the_half_line():
     state, _ = fit(labels, KERNEL, loss, variant, config)
     t, g0, *_ = state.trace[0]
     assert t == 0 and g0 == pytest.approx(g, rel=1e-12, abs=1e-12)
+
+
+def _desk_fit(study, rep):
+    """(samples, kernel, loss, variant, config) of a seed-0 desk rep of remark1 or komp_sparsity."""
+    from sparsekern import experiments as ex
+
+    if study == "remark1":
+        train, kernel, variant = gen_remark1(20, rep), ex.REMARK1_KERNEL, ProblemVariant.fixed_width(1.0)
+        config = ex.REMARK1_CONFIG
+    else:
+        train, _ = gen_mixed_gauss(5, 0.5, 20, ex.MIXED_NOISE_SD, rep)
+        kernel, variant, config = ex.KOMP_KERNEL, ProblemVariant.fixed_width(0.5), ex.KOMP_SPARSITY_CONFIG
+    return train, kernel, losses_mod.default_loss("quadratic_eps", train.y), variant, config
+
+
+@pytest.mark.parametrize(
+    "study, rep, iters",
+    [("remark1", 0, None), ("komp_sparsity", 0, None), ("komp_sparsity", 4, None), ("komp_sparsity", 0, 20)],
+)
+def test_fit_equals_the_reference_ascent_bit_for_bit(study, rep, iters, monkeypatch):
+    # each desk fit holds a K small enough to certify whole.  komp_sparsity's
+    # rep 0 restarts once and certifies after 35 steps; rep 4 also halves its
+    # step once; a cap of 20 stops rep 0 at the cap's certificate of the
+    # iterate.  A trace of every step compares every certificate
+    train, kernel, loss, variant, config = _desk_fit(study, rep)
+    if iters is not None:
+        config = SolverConfig(**{**config.to_dict(), "iters": iters})
+    problem = Problem(train, kernel, loss, variant, config.gamma)
+    grid = quadrature_grid(kernel, variant, Quadrature(config.center_nodes, config.width_nodes))
+    op = solver_mod._NodeMatrix(kernel, train.X, *grid)
+    assert op._small and op._basis is None
+    lam0, _, g0 = solver_mod._start(problem, op)
+    for every in (solver_mod._TRACE_EVERY, 1):
+        monkeypatch.setattr(solver_mod, "_TRACE_EVERY", every)
+        state, _ = fit(train, kernel, loss, variant, config)
+        lam, t, trace, converged, cert = reference.accelerated_ascent(problem, config, lam0, g0, every)
+        assert (t, converged) == (state.t, state.converged) and converged == (iters is None)
+        assert lam.tobytes() == state.lam.tobytes()
+        assert trace == state.trace
+        assert cert == (state.g, state.primal, state.rel_gap, state.max_c)
